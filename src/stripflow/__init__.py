@@ -17,13 +17,12 @@ from .errors import (ConfigError, DegenerateCrossing, InfeasibleScenario,
 from .estimator import (RhoEstimate, RhoPrediction, TrajectoryRecord,
                         deficiency, grid_estimate, iterate_word, rho_estimate,
                         rho_predicted)
-from .flow import (FlowStep, HoferBound, Profile, apply_composed, apply_strip,
-                   calabi, calabi_region_decomposition, flux_check,
-                   generator_value, hofer_upper_bound, per_copy_flux,
-                   profile_velocity, strip_profile)
+from .flow import (HoferBound, Profile, apply_composed, apply_strip, calabi,
+                   calabi_region_decomposition, flux_check, generator_value,
+                   hofer_upper_bound, per_copy_flux, strip_profile)
 from .surface import (HoledTorus, OverlapReport, Scenario, StripSpec,
                       build_scenario, closing_word, crossing_word, membership,
                       scenario_from_text, scenario_to_text, validate_scenario)
-from .words import Letter, Word, cyclic_reduce, invert, multiply, power, reduce
+from .words import Letter, Word
 
 __all__ = [name for name in dir() if not name.startswith("_")]

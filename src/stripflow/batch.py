@@ -12,10 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .surface import Scenario
+from .surface import DIRECTION_VECTORS, Scenario
 
 _CUT_TOL = 1e-12
-_DIR_CODE = {"H": 0, "V": 1, "D": 2}
 
 
 @dataclass
@@ -101,51 +100,27 @@ def run_batch(scenario: Scenario, t: float, n_steps: int,
 
     sink = _EventSink() if collect else None
     # acting order: last listed strip acts first
-    acting = []
-    for pos, si in enumerate(reversed(range(n_strips))):
-        s = strips[si]
-        acting.append((
-            si,
-            _DIR_CODE[s.direction],
-            s.offset,
-            s.smoothing,
-            s.width - s.smoothing,
-            s.orientation * t / (s.width - 2.0 * s.smoothing),
-        ))
+    acting = [(si, strips[si], DIRECTION_VECTORS[strips[si].direction])
+              for si in reversed(range(n_strips))]
 
     for step in range(n_steps):
-        for pos, (si, code, offset, lo, hi, disp) in enumerate(acting):
-            if code == 0:
-                tr = (y - offset) % 1.0
-            elif code == 1:
-                tr = (x - offset) % 1.0
-            else:
-                tr = (x - y - offset) % 1.0
-            on_ramp = (tr > lo) & (tr < hi)
+        for pos, (si, strip, (vx, vy)) in enumerate(acting):
+            _, on_ramp, d = strip.shear(x, y, t)
             moved_live |= on_ramp
             if hm is not None:
                 foreign_live |= on_ramp & (hm != si)
             if not on_ramp.any():
                 continue
-            d = on_ramp * disp
             seq = float(step * n_strips + pos)
-            if code == 0:
+            if vx:
                 xn = x + d
                 if collect:
                     sink.emit_axis(ids, x, xn, 1, seq)
                 x = xn
-            elif code == 1:
+            if vy:
                 yn = y + d
                 if collect:
                     sink.emit_axis(ids, y, yn, 2, seq)
-                y = yn
-            else:
-                xn = x + d
-                yn = y + d
-                if collect:
-                    sink.emit_axis(ids, x, xn, 1, seq)
-                    sink.emit_axis(ids, y, yn, 2, seq)
-                x = xn
                 y = yn
 
         if step == 0 and compact_fixed and not moved_live.all():

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .words import Word, reduce_letters
+from .words import Word, cyclic_core, reduce_letters
 
 # Enumerating all reduced pairs up to length L costs ~(4*3^(L-1))^2 h_w
 # evaluations; 7 is where a laptop stops being comfortable.
@@ -53,17 +53,9 @@ def brooks_tuple(pattern: tuple[int, ...], inv_pattern: tuple[int, ...],
     return count_tuple(pattern, text) - count_tuple(inv_pattern, text)
 
 
-def _cyclic_core(letters: tuple[int, ...]) -> tuple[int, ...]:
-    i, j = 0, len(letters)
-    while j - i >= 2 and letters[i] == -letters[j - 1]:
-        i += 1
-        j -= 1
-    return letters[i:j]
-
-
 def homogenized_tuple(pattern: tuple[int, ...], letters: tuple[int, ...]) -> float:
     """Exact homogenized value on a reduced letter tuple."""
-    core = _cyclic_core(letters)
+    core = cyclic_core(letters)
     if not core:
         return 0.0
     period = len(core)

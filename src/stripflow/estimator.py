@@ -18,10 +18,10 @@ import numpy as np
 
 from . import batch
 from .counting import CountingQM, homogenized_tuple
-from .errors import DegenerateCrossing
+from .errors import ConfigError, DegenerateCrossing
 from .flow import flux_check, require_validity
 from .surface import Scenario, StripSpec, closing_word, nudge_off_cut_lines
-from .words import Word, reduce_letters
+from .words import Word, cyclic_core, reduce_letters
 
 RETURN_TOL = 1e-9
 NUDGE_RETRIES = 3
@@ -100,13 +100,7 @@ def _ramp_points(strip: StripSpec, n: int, seed: int, strip_index: int):
 def _ramp_multiplicity(scenario: Scenario, x: np.ndarray, y: np.ndarray):
     mult = np.zeros(x.shape, dtype=np.int64)
     for s in scenario.strips:
-        if s.direction == "H":
-            tr = (y - s.offset) % 1.0
-        elif s.direction == "V":
-            tr = (x - s.offset) % 1.0
-        else:
-            tr = (x - y - s.offset) % 1.0
-        mult += (tr > s.smoothing) & (tr < s.width - s.smoothing)
+        mult += s.shear(x, y, 0.0)[1]
     return np.maximum(mult, 1)
 
 
@@ -116,14 +110,6 @@ def _canonical_class(core: tuple[int, ...]) -> str:
         return ""
     best = min(core[i:] + core[:i] for i in range(len(core)))
     return Word(best, _reduced=True).text()
-
-
-def _cyclic_core(letters: tuple[int, ...]) -> tuple[int, ...]:
-    i, j = 0, len(letters)
-    while j - i >= 2 and letters[i] == -letters[j - 1]:
-        i += 1
-        j -= 1
-    return letters[i:j]
 
 
 # -- batch evaluation ------------------------------------------------------------
@@ -155,7 +141,7 @@ def _evaluate_batch(scenario: Scenario, q: CountingQM, K: int,
                                    only=np.nonzero(periodic)[0])
     cache: dict[tuple[int, ...], tuple[str, float]] = {}
     for i in np.nonzero(periodic)[0]:
-        core = _cyclic_core(reduce_letters(m_words.get(int(i), ())))
+        core = cyclic_core(reduce_letters(m_words.get(int(i), ())))
         hit = cache.get(core)
         if hit is None:
             hit = (_canonical_class(core), homogenized_tuple(pattern, core))
@@ -177,18 +163,14 @@ def _evaluate_batch(scenario: Scenario, q: CountingQM, K: int,
     return values, kinds, class_keys, run.degenerate
 
 
-def _chunk_task(args):
-    (scenario, q, K, strip_indices, n, seed) = args
-    xs, ys, homes = [], [], []
-    for si in strip_indices:
-        x, y = _ramp_points(scenario.strips[si], n, seed, si)
-        xs.append(x)
-        ys.append(y)
-        homes.append(np.full(n, si, dtype=np.int64))
-    x = np.concatenate(xs)
-    y = np.concatenate(ys)
-    home = np.concatenate(homes)
-    mult = _ramp_multiplicity(scenario, x, y)
+def _evaluate_with_nudges(scenario: Scenario, q: CountingQM, K: int,
+                          x: np.ndarray, y: np.ndarray, home: np.ndarray):
+    """_evaluate_batch, re-running degenerate samples nudged by k * 1e-9.
+
+    A re-run sample takes the values, kind and class key of its nudged
+    run.  Raises DegenerateCrossing if samples stay degenerate after
+    NUDGE_RETRIES nudges.
+    """
     values, kinds, class_keys, degenerate = _evaluate_batch(
         scenario, q, K, x, y, home)
     attempt = 0
@@ -208,6 +190,36 @@ def _chunk_task(args):
                 class_keys[int(orig)] = c2[local]
         degenerate = np.zeros_like(degenerate)
         degenerate[idx[d2]] = True
+    return values, kinds, class_keys
+
+
+def _checked_K(scenario: Scenario, K: int | None) -> int:
+    """Check the inputs both estimators share; return K (default 4m)."""
+    fa, fb = flux_check(scenario)
+    if (fa, fb) != (0.0, 0.0):
+        raise ValueError(f"nonzero flux {(fa, fb)}: map is not Hamiltonian")
+    require_validity(scenario, scenario.tau)
+    m = scenario.m
+    if K is None:
+        K = 4 * m
+    if K % m != 0:
+        raise ValueError(f"K={K} must be a multiple of m={m}")
+    return K
+
+
+def _chunk_task(args):
+    (scenario, q, K, strip_indices, n, seed) = args
+    xs, ys, homes = [], [], []
+    for si in strip_indices:
+        x, y = _ramp_points(scenario.strips[si], n, seed, si)
+        xs.append(x)
+        ys.append(y)
+        homes.append(np.full(n, si, dtype=np.int64))
+    x = np.concatenate(xs)
+    y = np.concatenate(ys)
+    home = np.concatenate(homes)
+    mult = _ramp_multiplicity(scenario, x, y)
+    values, kinds, class_keys = _evaluate_with_nudges(scenario, q, K, x, y, home)
 
     weights = 1.0 / mult
     contrib = values * weights
@@ -245,19 +257,16 @@ def rho_estimate(scenario: Scenario, q: CountingQM, K: int | None = None,
     weights; per-strip sample streams are seeded independently, so the
     result is reproducible and independent of worker partitioning.
     """
-    fa, fb = flux_check(scenario)
-    if (fa, fb) != (0.0, 0.0):
-        raise ValueError(f"nonzero flux {(fa, fb)}: map is not Hamiltonian")
-    require_validity(scenario, scenario.tau)
-    m = scenario.m
-    if K is None:
-        K = 4 * m
-    if K % m != 0:
-        raise ValueError(f"K={K} must be a multiple of m={m}")
+    K = _checked_K(scenario, K)
     if samples_per_strip < 1:
         raise ValueError("samples_per_strip must be >= 1")
     if workers is None:
-        workers = int(os.environ.get("STRIPFLOW_WORKERS", "1"))
+        raw = os.environ.get("STRIPFLOW_WORKERS", "1")
+        try:
+            workers = int(raw)
+        except ValueError:
+            raise ConfigError(
+                f"STRIPFLOW_WORKERS must be an integer, got {raw!r}") from None
 
     strips_per_chunk = max(1, _CHUNK_SAMPLES // max(samples_per_strip, 1))
     indices = list(range(len(scenario.strips)))
@@ -307,7 +316,8 @@ def iterate_word(scenario: Scenario, q: CountingQM, p: tuple[float, float],
         x = np.array([p[0]])
         y = np.array([p[1]])
         home = np.full(1, -1, dtype=np.int64)
-        on_own = [i for i, s in enumerate(scenario.strips) if s.on_ramp(*p)]
+        on_own = [i for i, s in enumerate(scenario.strips)
+                  if s.shear(p[0], p[1], 0.0)[1]]
         if on_own:
             home[0] = on_own[0]
         run = batch.run_batch(scenario, scenario.tau, K, x, y,
@@ -332,7 +342,7 @@ def iterate_word(scenario: Scenario, q: CountingQM, p: tuple[float, float],
         m_letters = reduce_letters(
             batch.assemble_words(
                 run, 1, max_key=float(m * run.applications_per_step)).get(0, ()))
-        core = _cyclic_core(m_letters)
+        core = cyclic_core(m_letters)
         return TrajectoryRecord(start=p, end=end, iterates=K, word=word,
                                 kind="periodic", period=m,
                                 class_word=Word(core, _reduced=True))
@@ -347,39 +357,20 @@ def grid_estimate(scenario: Scenario, q: CountingQM, K: int | None = None,
     surface is exactly fixed and contributes zero.  Serves as the
     independent cross-check for rho_estimate.
     """
-    fa, fb = flux_check(scenario)
-    if (fa, fb) != (0.0, 0.0):
-        raise ValueError(f"nonzero flux {(fa, fb)}: map is not Hamiltonian")
-    require_validity(scenario, scenario.tau)
-    m = scenario.m
-    if K is None:
-        K = 4 * m
-    if K % m != 0:
-        raise ValueError(f"K={K} must be a multiple of m={m}")
+    K = _checked_K(scenario, K)
     xs = (np.arange(grid) + 0.5) / grid
     gx, gy = np.meshgrid(xs, xs, indexing="ij")
     gx, gy = gx.ravel(), gy.ravel()
     home = np.full(gx.size, -1, dtype=np.int64)
     covered = np.zeros(gx.size, dtype=bool)
     for idx, s in enumerate(scenario.strips):
-        if s.direction == "H":
-            tr = (gy - s.offset) % 1.0
-        elif s.direction == "V":
-            tr = (gx - s.offset) % 1.0
-        else:
-            tr = (gx - gy - s.offset) % 1.0
-        on = (tr > s.smoothing) & (tr < s.width - s.smoothing)
+        _, on, _ = s.shear(gx, gy, 0.0)
         home[on & ~covered] = idx
         covered |= on
     sel = np.nonzero(covered)[0]
     x, y = gx[sel], gy[sel]
-    values, kinds, class_keys, degenerate = _evaluate_batch(
+    values, kinds, class_keys = _evaluate_with_nudges(
         scenario, q, K, x, y, home[sel])
-    if degenerate.any():
-        idx = np.nonzero(degenerate)[0]
-        v2, k2, _, _ = _evaluate_batch(
-            scenario, q, K, x[idx] + 1e-9, y[idx] + 1e-9, home[sel][idx])
-        values[idx], kinds[idx] = v2, k2
     cell = 1.0 / (grid * grid)
     value = float(values.sum() * cell)
     count = values.size

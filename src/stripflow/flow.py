@@ -3,11 +3,18 @@
 Each strip carries a piecewise-linear transverse profile c: [0, w] -> [0, 1]
 (zero on the two smoothing margins, slope 1/(w - 2*smoothing) on the ramp)
 whose derivative is the along-strip velocity.  The time-t map of a strip is
-an exact piecewise translation; the scenario map is the ordered composition
-of all strip maps (last listed acts first).  The composition's generating
-function is evaluated through the pullback chain in the plane lift, which
-carries the winding bookkeeping for free, and feeds the Hofer-length upper
-bound and the Calabi integral.
+an exact piecewise translation, computed by ``StripSpec.shear``; the
+scenario map is the ordered composition of all strip maps (last listed acts
+first).
+
+``Profile``, ``strip_profile``, ``apply_strip`` and ``apply_composed`` are
+the scalar reference the vectorized engine in ``batch`` is checked against;
+``apply_composed_inverse`` runs the composition backwards.
+``generator_value`` evaluates the composition's generating function through
+the pullback chain in the plane lift, which carries the winding bookkeeping
+for free.  The generator feeds ``hofer_upper_bound`` and ``calabi``, and
+``calabi_region_decomposition`` gives Calabi in closed form.  ``flux_check``
+and ``per_copy_flux`` certify that the composition is Hamiltonian.
 """
 from __future__ import annotations
 
@@ -54,29 +61,6 @@ def strip_profile(strip: StripSpec) -> Profile:
     return Profile(width=strip.width, smoothing=strip.smoothing)
 
 
-@dataclass(frozen=True)
-class FlowStep:
-    """One composed time step of a scenario, validated against the
-    overlap-stability window at construction."""
-
-    scenario: Scenario
-    t: float
-
-    def __post_init__(self):
-        if self.t <= 0:
-            raise ValueError("step duration must be positive")
-        require_validity(self.scenario, self.t)
-
-    def apply(self, p: tuple[float, float]):
-        return apply_composed(self.scenario, self.t, p)
-
-
-def profile_velocity(profile: Profile, h: float) -> float:
-    if not 0.0 <= h <= profile.width:
-        raise ValueError(f"h={h} outside [0, {profile.width}]")
-    return profile.velocity(h)
-
-
 # -- point maps ---------------------------------------------------------------
 
 
@@ -117,34 +101,22 @@ def apply_composed(scenario: Scenario, t: float, p: tuple[float, float]):
 
 def apply_composed_inverse(scenario: Scenario, t: float, p: tuple[float, float]):
     """Inverse of apply_composed: reverse order, shears run backwards."""
-    q = p
+    x, y = p
     for strip in scenario.strips:
-        h = strip.transverse(q[0], q[1])
-        speed = strip_profile(strip).velocity(h)
-        if speed != 0.0:
-            d = -strip.orientation * t * speed
-            vx, vy = DIRECTION_VECTORS[strip.direction]
-            q = (q[0] + d * vx, q[1] + d * vy)
-    return q
+        _, _, d = strip.shear(x, y, -t)
+        vx, vy = DIRECTION_VECTORS[strip.direction]
+        x, y = x + d * vx, y + d * vy
+    return (x, y)
 
 
 # -- generating function -------------------------------------------------------
-
-
-def _lifted_transverse(strip: StripSpec, x, y):
-    if strip.direction == "H":
-        return y - strip.offset
-    if strip.direction == "V":
-        return x - strip.offset
-    return x - y - strip.offset
 
 
 def _profile_lift(strip: StripSpec, s):
     """C~(s): the profile read on the transverse line, lifted (period 1 -> +1)."""
     base = np.floor(s)
     rel = s - base
-    ramp = strip.width - 2.0 * strip.smoothing
-    return base + np.clip((rel - strip.smoothing) / ramp, 0.0, 1.0)
+    return base + np.clip((rel - strip.smoothing) / strip.ramp_width, 0.0, 1.0)
 
 
 def _generator_on_arrays(scenario: Scenario, t: float, x, y):
@@ -160,19 +132,15 @@ def _generator_on_arrays(scenario: Scenario, t: float, x, y):
     y = np.append(np.asarray(y, dtype=float), 0.0)
     g = np.zeros_like(x)
     for strip in scenario.strips:
-        s = _lifted_transverse(strip, x, y)
+        # d is this strip's inverse time-t displacement: it advances the chain
+        s, _, d = strip.shear(x, y, -t)
         g += _HAMILTONIAN_SIGN[strip.direction] * strip.orientation \
             * _profile_lift(strip, s)
-        # advance the chain: inverse time-t map of this strip
-        rel = s % 1.0
-        ramp = strip.width - 2.0 * strip.smoothing
-        moving = (rel > strip.smoothing) & (rel < strip.width - strip.smoothing)
-        d = np.where(moving, -strip.orientation * t / ramp, 0.0)
         vx, vy = DIRECTION_VECTORS[strip.direction]
         if vx:
-            x = x + d * vx
+            x = x + d
         if vy:
-            y = y + d * vy
+            y = y + d
     return g[:-1] - g[-1]
 
 
@@ -302,8 +270,7 @@ def calabi_region_decomposition(scenario: Scenario, tau: float) -> float:
         if strip.direction == "D":
             level += -0.5
         total += _HAMILTONIAN_SIGN[strip.direction] * strip.orientation * level
-    base = generator_value(scenario, 0.0, (0.0, 0.0))  # 0 by normalization
-    return tau * (total - base) + 0.5 * tau * tau * generator_drift_rate(scenario)
+    return tau * total + 0.5 * tau * tau * generator_drift_rate(scenario)
 
 
 # -- flux ----------------------------------------------------------------------

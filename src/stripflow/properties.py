@@ -13,7 +13,8 @@ from . import estimator, flow
 from .config import ExperimentConfig
 from .counting import (CountingQM, estimate_defect, homogenize_oracle,
                        homogenized)
-from .surface import Scenario, crossing_word, segment_crossings
+from .surface import (Scenario, _segment_hits_hole, crossing_word,
+                      segment_crossings)
 from .words import Word
 
 _GENS = (1, -1, 2, -2)
@@ -100,8 +101,8 @@ def prop_qm_oracle(rng, config):
 # -- homotopy tracking -----------------------------------------------------------
 
 
-def _winding_number(pts, center):
-    """Signed winding of the closed polyline around a point (ray casting)."""
+def _winding_number(pts, center) -> int:
+    """Signed winding of a closed polyline around a point, by ray casting."""
     winding = 0
     for (px, py), (qx, qy) in zip(pts, pts[1:]):
         if (py - center[1]) * (qy - center[1]) < 0:
@@ -111,35 +112,29 @@ def _winding_number(pts, center):
     return winding
 
 
-def _lattice_windings(pts):
-    xs = [p[0] for p in pts]
-    ys = [p[1] for p in pts]
-    out = []
-    for lx in range(math.floor(min(xs)), math.ceil(max(xs)) + 1):
-        for ly in range(math.floor(min(ys)), math.ceil(max(ys)) + 1):
-            w = _winding_number(pts, (lx, ly))
-            if w:
-                out.append(((lx, ly), w))
-    return out
+def random_null_homotopic_loop(rng, hole_halfwidth):
+    """Closed plane polyline avoiding the lifted holes and winding around
+    no lattice point, so its class on the surface is trivial (a loop around
+    a lifted hole carries a peripheral class, not the identity).
 
-
-def _random_closed_loop(rng, hole_halfwidth):
-    # closed plane polyline avoiding the lifted holes and enclosing none of
-    # them (loops around a lifted hole carry a peripheral class, not the
-    # identity)
+    Returns the list of segments, or None after 400 rejected draws.
+    """
     for _ in range(400):
         pts = [(rng.uniform(0.1, 0.9), rng.uniform(0.1, 0.9))]
         for _ in range(rng.randrange(2, 6)):
-            pts.append((pts[-1][0] + rng.uniform(-1.4, 1.4),
-                        pts[-1][1] + rng.uniform(-1.4, 1.4)))
+            pts.append((pts[-1][0] + rng.uniform(-1.5, 1.5),
+                        pts[-1][1] + rng.uniform(-1.5, 1.5)))
         pts.append(pts[0])
-        from .surface import _segment_hits_hole
         segs = list(zip(pts, pts[1:]))
-        if any(_segment_hits_hole(p, q, hole_halfwidth) for p, q in segs):
+        if any(_segment_hits_hole(a, b, hole_halfwidth) for a, b in segs):
             continue
         if any(abs(c - round(c)) < 1e-9 for p in pts for c in p):
             continue
-        if _lattice_windings(pts):
+        xs = [p[0] for p in pts]
+        ys = [p[1] for p in pts]
+        if any(_winding_number(pts, (lx, ly))
+               for lx in range(math.floor(min(xs)), math.ceil(max(xs)) + 1)
+               for ly in range(math.floor(min(ys)), math.ceil(max(ys)) + 1)):
             continue
         return segs
     return None
@@ -149,7 +144,7 @@ def prop_crossing_loops_reduce_to_identity(rng, config):
     hh = config.hole_halfwidth
     done = 0
     while done < 100:
-        segs = _random_closed_loop(rng, hh)
+        segs = random_null_homotopic_loop(rng, hh)
         if segs is None:
             return False, "could not generate loops"
         word = Word()
@@ -191,7 +186,7 @@ def prop_flux_zero(rng, config):
     return True, "total and per-copy flux vanish"
 
 
-def _safe_stencil_point(scenario, rng, eps, margin):
+def _safe_stencil_point(scenario, rng, margin):
     # center whose whole orbit keeps the stencil clear of profile kinks
     for _ in range(400):
         p = (rng.uniform(0.05, 0.95), rng.uniform(0.05, 0.95))
@@ -220,7 +215,7 @@ def prop_jacobian(rng, config):
     for _ in range(2000):
         if tested >= 100:
             break
-        p = _safe_stencil_point(scenario, rng, eps, margin=1e-4)
+        p = _safe_stencil_point(scenario, rng, margin=1e-4)
         if p is None:
             return False, "no safe stencil points found"
         stencil = []

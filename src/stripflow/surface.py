@@ -99,22 +99,31 @@ class StripSpec:
     def ramp_width(self) -> float:
         return self.width - 2.0 * self.smoothing
 
+    def shear(self, x, y, t: float):
+        """The strip kernel, on floats or numpy arrays alike.
+
+        Returns ``(s, on_ramp, shift)``: the transverse coordinate ``s``
+        relative to the band start in the plane lift (``s % 1.0`` is the
+        chart coordinate ``h``), the ramp test ``smoothing < h < width -
+        smoothing``, and the along-strip displacement of the time-t map,
+        ``orientation * t / ramp_width`` on the ramp and 0 off it.
+        """
+        if self.direction == "H":
+            s = y - self.offset
+        elif self.direction == "V":
+            s = x - self.offset
+        else:
+            s = x - y - self.offset
+        h = s % 1.0
+        on_ramp = (self.smoothing < h) & (h < self.width - self.smoothing)
+        return s, on_ramp, on_ramp * (self.orientation * t / self.ramp_width)
+
     def transverse(self, x: float, y: float) -> float:
         """Transverse chart coordinate relative to the band start, mod 1."""
-        if self.direction == "H":
-            raw = y - self.offset
-        elif self.direction == "V":
-            raw = x - self.offset
-        else:
-            raw = x - y - self.offset
-        return raw % 1.0
+        return self.shear(x, y, 0.0)[0] % 1.0
 
     def contains(self, x: float, y: float) -> bool:
         return self.transverse(x, y) < self.width
-
-    def on_ramp(self, x: float, y: float) -> bool:
-        h = self.transverse(x, y)
-        return self.smoothing < h < self.width - self.smoothing
 
     def avoids_hole(self, hole_halfwidth: float) -> bool:
         clearance = HOLE_CLEARANCE[self.direction] * hole_halfwidth
@@ -445,41 +454,10 @@ def crossing_word(p: tuple[float, float], q: tuple[float, float]) -> Word:
     return Word(letter for _, letter in segment_crossings(p, q))
 
 
-def _segment_hits_hole(p, q, hole_halfwidth: float) -> bool:
-    hh = hole_halfwidth
+def _segment_hits_square(p, q, L, hh) -> bool:
+    """Does the lifted segment p -> q enter the hole around lattice point L?"""
     dx, dy = q[0] - p[0], q[1] - p[1]
-    x_lo, x_hi = min(p[0], q[0]) - hh, max(p[0], q[0]) + hh
-    y_lo, y_hi = min(p[1], q[1]) - hh, max(p[1], q[1]) + hh
-    for lx in range(math.floor(x_lo), math.ceil(x_hi) + 1):
-        if not x_lo <= lx <= x_hi:
-            continue
-        for ly in range(math.floor(y_lo), math.ceil(y_hi) + 1):
-            if not y_lo <= ly <= y_hi:
-                continue
-            # parameter window where |x(t) - lx| < hh
-            t0, t1 = 0.0, 1.0
-            ok = True
-            for delta, start, center in ((dx, p[0], lx), (dy, p[1], ly)):
-                if delta == 0.0:
-                    if abs(start - center) >= hh:
-                        ok = False
-                        break
-                else:
-                    a = (center - hh - start) / delta
-                    b = (center + hh - start) / delta
-                    t0 = max(t0, min(a, b))
-                    t1 = min(t1, max(a, b))
-            if ok and t1 - t0 > 1e-15:
-                return True
-    return False
-
-
-_DETOUR_OFFSETS = ((2.5, 0.4), (0.4, 2.5), (-2.5, 0.4), (0.4, -2.5),
-                   (2.5, 2.5), (-2.5, 2.5), (2.5, -2.5), (-2.5, -2.5))
-
-
-def _hole_hit_specific(p, q, L, hh):
-    dx, dy = q[0] - p[0], q[1] - p[1]
+    # parameter window where |x(t) - L| < hh on both axes
     t0, t1 = 0.0, 1.0
     for delta, start, center in ((dx, p[0], L[0]), (dy, p[1], L[1])):
         if delta == 0.0:
@@ -491,6 +469,23 @@ def _hole_hit_specific(p, q, L, hh):
             t0 = max(t0, min(a, b))
             t1 = min(t1, max(a, b))
     return t1 - t0 > 1e-15
+
+
+def _segment_hits_hole(p, q, hole_halfwidth: float) -> bool:
+    hh = hole_halfwidth
+    x_lo, x_hi = min(p[0], q[0]) - hh, max(p[0], q[0]) + hh
+    y_lo, y_hi = min(p[1], q[1]) - hh, max(p[1], q[1]) + hh
+    for lx in range(math.floor(x_lo), math.ceil(x_hi) + 1):
+        if not x_lo <= lx <= x_hi:
+            continue
+        for ly in range(math.floor(y_lo), math.ceil(y_hi) + 1):
+            if y_lo <= ly <= y_hi and _segment_hits_square(p, q, (lx, ly), hh):
+                return True
+    return False
+
+
+_DETOUR_OFFSETS = ((2.5, 0.4), (0.4, 2.5), (-2.5, 0.4), (0.4, -2.5),
+                   (2.5, 2.5), (-2.5, 2.5), (2.5, -2.5), (-2.5, -2.5))
 
 
 def closing_word(end: tuple[float, float], start: tuple[float, float],
@@ -517,7 +512,7 @@ def closing_word(end: tuple[float, float], start: tuple[float, float],
                         math.ceil(max(end[0], target[0]) + 1) + 1):
             for ly in range(math.floor(min(end[1], target[1]) - 1),
                             math.ceil(max(end[1], target[1]) + 1) + 1):
-                if _hole_hit_specific(end, target, (lx, ly), hole_halfwidth):
+                if _segment_hits_square(end, target, (lx, ly), hole_halfwidth):
                     offender = (lx, ly)
                     break
             if offender:
@@ -605,13 +600,11 @@ def scenario_from_text(text: str) -> Scenario:
     except KeyError as exc:
         raise InfeasibleScenario(f"scenario document missing field {exc}") from exc
     strips = []
-    copy_counter: dict[int, int] = {}
     for row in strip_rows:
         if len(row) != 5:
             raise InfeasibleScenario(f"strip row needs 5 fields, got {row}")
         direction = row[0]
         copy_id = len(strips) // 3
-        copy_counter[copy_id] = copy_counter.get(copy_id, 0) + 1
         strips.append(StripSpec(
             direction=direction, offset=float(row[1]), width=float(row[2]),
             orientation=int(row[3]), smoothing=float(row[4]), copy_id=copy_id))

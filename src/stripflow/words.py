@@ -44,6 +44,15 @@ def reduce_letters(raw: Iterable) -> tuple[int, ...]:
     return tuple(out)
 
 
+def cyclic_core(letters: tuple[int, ...]) -> tuple[int, ...]:
+    """Strip the matching inverse letter pairs off both ends of a reduced tuple."""
+    i, j = 0, len(letters)
+    while j - i >= 2 and letters[i] == -letters[j - 1]:
+        i += 1
+        j -= 1
+    return letters[i:j]
+
+
 class Word:
     """A reduced element of F(a, b).  Immutable and hashable."""
 
@@ -93,12 +102,9 @@ class Word:
 
     def cyclic_reduce(self) -> tuple["Word", "Word"]:
         """Return (core, conjugator) with self == conjugator * core * conjugator^-1."""
-        ls = self.letters
-        i, j = 0, len(ls)
-        while j - i >= 2 and ls[i] == -ls[j - 1]:
-            i += 1
-            j -= 1
-        return Word(ls[i:j], _reduced=True), Word(ls[:i], _reduced=True)
+        core = cyclic_core(self.letters)
+        i = (len(self.letters) - len(core)) // 2
+        return Word(core, _reduced=True), Word(self.letters[:i], _reduced=True)
 
     # container / comparison ----------------------------------------------
 
@@ -125,25 +131,3 @@ class Word:
 
 
 IDENTITY = Word()
-
-
-# Operation-style aliases used throughout the package and the CLI.
-
-def reduce(raw: Iterable) -> Word:
-    return Word(raw)
-
-
-def multiply(u: Word, v: Word) -> Word:
-    return u * v
-
-
-def invert(u: Word) -> Word:
-    return u.inverse()
-
-
-def power(u: Word, k: int) -> Word:
-    return u ** k
-
-
-def cyclic_reduce(u: Word) -> tuple[Word, Word]:
-    return u.cyclic_reduce()

@@ -1,47 +1,2 @@
-"""Shared helpers for geometry tests: loop generation and winding checks."""
-import math
-
-from stripflow.surface import _segment_hits_hole
-
-
-def winding_number(pts, center):
-    """Signed winding of a closed polyline around a point, by ray casting."""
-    winding = 0
-    for (px, py), (qx, qy) in zip(pts, pts[1:]):
-        if (py - center[1]) * (qy - center[1]) < 0:
-            t = (center[1] - py) / (qy - py)
-            if px + t * (qx - px) > center[0]:
-                winding += 1 if qy > py else -1
-    return winding
-
-
-def lattice_windings(pts):
-    xs = [p[0] for p in pts]
-    ys = [p[1] for p in pts]
-    hits = []
-    for lx in range(math.floor(min(xs)), math.ceil(max(xs)) + 1):
-        for ly in range(math.floor(min(ys)), math.ceil(max(ys)) + 1):
-            w = winding_number(pts, (lx, ly))
-            if w:
-                hits.append(((lx, ly), w))
-    return hits
-
-
-def random_null_homotopic_loop(rng, hole_halfwidth, max_tries=400):
-    """Closed plane polyline avoiding the lifted holes and winding around
-    no lattice point, so its class on the surface is trivial."""
-    for _ in range(max_tries):
-        pts = [(rng.uniform(0.1, 0.9), rng.uniform(0.1, 0.9))]
-        for _ in range(rng.randrange(2, 6)):
-            pts.append((pts[-1][0] + rng.uniform(-1.5, 1.5),
-                        pts[-1][1] + rng.uniform(-1.5, 1.5)))
-        pts.append(pts[0])
-        segs = list(zip(pts, pts[1:]))
-        if any(_segment_hits_hole(a, b, hole_halfwidth) for a, b in segs):
-            continue
-        if any(abs(c - round(c)) < 1e-9 for p in pts for c in p):
-            continue
-        if lattice_windings(pts):
-            continue
-        return segs
-    return None
+"""Shared helpers for geometry tests."""
+from stripflow.properties import random_null_homotopic_loop  # noqa: F401

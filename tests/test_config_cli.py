@@ -1,5 +1,6 @@
 """Configuration parsing and the command-line interface."""
 import json
+from pathlib import Path
 
 import pytest
 
@@ -141,6 +142,29 @@ def test_cli_props_filter(tmp_path, capsys):
     assert main(["props", str(_write_tiny(tmp_path)), "--filter", "word"]) == 0
     out = capsys.readouterr().out
     assert "PASS word_algebra" in out
+
+
+def test_cli_non_integer_workers_exit_code(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("STRIPFLOW_WORKERS", "two")
+    p = _write_tiny(tmp_path, output=str(tmp_path / "sweep.csv"))
+    assert main(["sweep", str(p)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0])["error"] == "invalid_config"
+
+
+# Golden sweep CSVs: they may change only with a deliberate, documented
+# output change.  The second config puts every sample on a bad orbit, which
+# runs the closing-word path.
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("name", ["small", "small_full_ramp"])
+def test_cli_sweep_matches_golden_csv(name, tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", str(GOLDEN / f"{name}.cfg"), "--output", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / f"{name}.csv").read_bytes()
+    assert capsys.readouterr().out == out.read_text()
 
 
 def test_cli_show_config(capsys):

@@ -2,10 +2,12 @@
 import numpy as np
 import pytest
 
+from stripflow import batch, estimator
 from stripflow.counting import CountingQM, estimate_defect, homogenized
-from stripflow.errors import ValidityWindowExceeded
-from stripflow.estimator import (RhoEstimate, deficiency, grid_estimate,
-                                 iterate_word, rho_estimate, rho_predicted)
+from stripflow.errors import DegenerateCrossing, ValidityWindowExceeded
+from stripflow.estimator import (NUDGE_RETRIES, RhoEstimate, deficiency,
+                                 grid_estimate, iterate_word, rho_estimate,
+                                 rho_predicted)
 from stripflow.surface import (HoledTorus, Scenario, build_scenario,
                                validate_scenario)
 from stripflow.words import Word
@@ -184,3 +186,63 @@ def test_stationary_dominance_for_small_budget_scenario():
     total_area = sum(st.width for st in s.strips)
     periodic_fraction = 1.0 - est.bad_area / sum(st.ramp_width for st in s.strips)
     assert periodic_fraction >= 1.0 - 2.0 * budget / total_area
+
+
+def _patch_run_batch(monkeypatch, edit):
+    """Make batch.run_batch pass each result through edit(call_index, run);
+    returns the list of call indices seen."""
+    real = batch.run_batch
+    calls = []
+
+    def patched(*args, **kwargs):
+        run = real(*args, **kwargs)
+        edit(len(calls), run)
+        calls.append(len(calls))
+        return run
+
+    monkeypatch.setattr(batch, "run_batch", patched)
+    return calls
+
+
+def _flag_first_sample(call, run):
+    run.degenerate[0] = True
+
+
+def test_grid_estimate_raises_on_persistent_degeneracy(monkeypatch):
+    s = _scenario(T=0.05, m=8, smoothing=0.0)
+    calls = _patch_run_batch(monkeypatch, _flag_first_sample)
+    with pytest.raises(DegenerateCrossing):
+        grid_estimate(s, AB, K=2 * s.m, grid=80)
+    assert len(calls) == NUDGE_RETRIES + 1
+
+
+def test_rho_estimate_raises_on_persistent_degeneracy(monkeypatch):
+    s = _scenario(T=0.05, m=8, smoothing=0.0)
+    calls = _patch_run_batch(monkeypatch, _flag_first_sample)
+    with pytest.raises(DegenerateCrossing):
+        rho_estimate(s, AB, K=2 * s.m, samples_per_strip=50, workers=1)
+    assert len(calls) == NUDGE_RETRIES + 1
+
+
+def test_grid_estimate_retry_replaces_class_keys(monkeypatch):
+    # the first run flags every sample; the nudged re-run finds them all
+    # on foreign ramps, so no periodic class may survive from the first run
+    def edit(call, run):
+        if call == 0:
+            run.degenerate[:] = True
+        else:
+            run.foreign[:] = True
+
+    s = _scenario(T=0.05, m=8, smoothing=0.0)
+    _patch_run_batch(monkeypatch, edit)
+    est = grid_estimate(s, AB, K=2 * s.m, grid=80)
+    assert est.per_class == {}
+    assert est.bad_area == pytest.approx(est.samples / 80 ** 2)
+
+
+def test_rho_estimate_independent_of_workers(monkeypatch):
+    monkeypatch.setattr(estimator, "_CHUNK_SAMPLES", 400)  # 2 strips a chunk
+    s = _scenario(N=2, T=0.08, m=32)
+    one = rho_estimate(s, AB, samples_per_strip=200, seed=9, workers=1)
+    two = rho_estimate(s, AB, samples_per_strip=200, seed=9, workers=2)
+    assert one == two

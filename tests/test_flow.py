@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from stripflow.errors import ValidityWindowExceeded
-from stripflow.flow import (FlowStep, HoferBound, Profile, apply_composed,
+from stripflow.flow import (HoferBound, Profile, apply_composed,
                             apply_composed_inverse, apply_strip, calabi,
                             calabi_region_decomposition, copy_oscillation_bound,
                             flux_check, generator_drift_rate, generator_value,
-                            hofer_upper_bound, per_copy_flux, profile_velocity,
+                            hofer_upper_bound, per_copy_flux, require_validity,
                             strip_profile, _generator_grid)
 from stripflow.surface import (HoledTorus, Scenario, StripSpec, build_scenario,
                                validate_scenario)
@@ -25,13 +25,11 @@ def test_profile_values_and_velocity():
     pr = Profile(width=0.1, smoothing=0.0)
     assert pr.value(0.0) == 0.0
     assert pr.value(0.1) == 1.0
-    assert profile_velocity(pr, 0.05) == pytest.approx(10.0)
-    assert profile_velocity(pr, 0.0) == 0.0
+    assert pr.velocity(0.05) == pytest.approx(10.0)
+    assert pr.velocity(0.0) == 0.0
     # quadrature of c' recovers the unit flux c(w) - c(0)
     hs = (np.arange(2000) + 0.5) / 2000 * pr.width
     assert np.mean([pr.velocity(h) for h in hs]) * pr.width == pytest.approx(1.0, abs=1e-2)
-    with pytest.raises(ValueError):
-        profile_velocity(pr, 0.2)
     with pytest.raises(ValueError):
         Profile(width=0.1, smoothing=0.05)
 
@@ -219,15 +217,11 @@ def test_copy_oscillation_bound():
     assert copy_oscillation_bound(_scenario(N=4, T=0.04, m=64)) == 3.0
 
 
-def test_flow_step_validates_window():
+def test_require_validity_window():
     s = _scenario()
-    step = FlowStep(s, s.tau)
-    p = (0.53, s.strips[0].offset + s.strips[0].width / 2)
-    assert step.apply(p) == apply_composed(s, s.tau, p)
+    require_validity(s, s.tau)
     with pytest.raises(ValidityWindowExceeded):
-        FlowStep(s, s.T * s.validation.min_overlap_spacing * 1.5)
-    with pytest.raises(ValueError):
-        FlowStep(s, 0.0)
+        require_validity(s, s.T * s.validation.min_overlap_spacing * 1.5)
 
 
 def test_composition_degenerates_to_single_strip():
