@@ -19,10 +19,11 @@ from .estimator import (RhoEstimate, RhoPrediction, TrajectoryRecord,
                         rho_predicted)
 from .flow import (HoferBound, Profile, apply_composed, apply_strip, calabi,
                    calabi_region_decomposition, flux_check, generator_value,
-                   hofer_upper_bound, per_copy_flux, strip_profile)
+                   hofer_upper_bound, strip_profile)
 from .surface import (HoledTorus, OverlapReport, Scenario, StripSpec,
-                      build_scenario, closing_word, crossing_word, membership,
-                      scenario_from_text, scenario_to_text, validate_scenario)
-from .words import Letter, Word
+                      build_scenario, closing_word, crossing_word,
+                      per_copy_flux, scenario_from_text, scenario_to_text,
+                      validate_scenario)
+from .words import Word
 
 __all__ = [name for name in dir() if not name.startswith("_")]

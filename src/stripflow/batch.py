@@ -12,9 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .surface import DIRECTION_VECTORS, Scenario
-
-_CUT_TOL = 1e-12
+from .surface import CUT_LINE_TOL, DIRECTION_VECTORS, Scenario, near_cut_line
 
 
 @dataclass
@@ -54,7 +52,7 @@ class _EventSink:
             tpar = (k - old[idx]) / (new[idx] - old[idx])
             # a crossing at a segment endpoint means the endpoint sits on a
             # cut line: flag for the caller's nudge-and-retry
-            bad = (tpar < _CUT_TOL) | (tpar > 1.0 - _CUT_TOL)
+            bad = (tpar < CUT_LINE_TOL) | (tpar > 1.0 - CUT_LINE_TOL)
             if bad.any():
                 self.degenerate_ids.append(ids[idx[bad]])
             self.sample.append(ids[idx])
@@ -81,6 +79,8 @@ def run_batch(scenario: Scenario, t: float, n_steps: int,
 
     Samples whose lift is unchanged after the first step are exactly fixed
     forever and are dropped from the iteration (their flags stay put).
+    With ``collect``, ``degenerate`` flags every sample that has no exact
+    word: a crossing at a segment end, or an end point on a cut line.
     """
     strips = scenario.strips
     n_strips = len(strips)
@@ -146,6 +146,7 @@ def run_batch(scenario: Scenario, t: float, n_steps: int,
     ev_s = ev_k = ev_l = None
     if collect:
         ev_s, ev_k, ev_l = sink.arrays()
+        degenerate |= near_cut_line(x_end) | near_cut_line(y_end)
         for bad_ids in sink.degenerate_ids:
             degenerate[bad_ids] = True
     return BatchRun(
@@ -189,7 +190,7 @@ def assemble_words(run: BatchRun, n_samples: int,
     return out
 
 
-def wrapped_return(x_m, y_m, x0, y0, tol: float = 1e-9) -> np.ndarray:
+def wrapped_return(x_m, y_m, x0, y0, tol: float) -> np.ndarray:
     """Torus-wrapped m-step return test."""
     dx = np.abs(((x_m - x0) + 0.5) % 1.0 - 0.5)
     dy = np.abs(((y_m - y0) + 0.5) % 1.0 - 0.5)

@@ -1,8 +1,9 @@
 """Command-line interface: validate / run / sweep / props.
 
-Exit codes: 0 ok, 2 invalid configuration, 3 infeasible scenario or
-validity-window violation, 4 property failure.  Failures also emit one
-machine-readable JSON record on stderr.
+Exit codes: 0 ok; 2 invalid configuration, including an unreadable config
+or an unwritable output; 3 infeasible scenario, validity-window violation
+or a sample that stays on a cut line; 4 property failure.  Failures also
+emit one machine-readable JSON record on stderr.
 """
 from __future__ import annotations
 
@@ -14,7 +15,8 @@ from pathlib import Path
 from . import __version__
 from .config import ExperimentConfig, config_to_text, load_config
 from .counting import CountingQM
-from .errors import ConfigError, InfeasibleScenario, ValidityWindowExceeded
+from .errors import (ConfigError, DegenerateCrossing, InfeasibleScenario,
+                     ValidityWindowExceeded)
 from .estimator import rho_estimate, rho_predicted
 from .flow import calabi, flux_check, hofer_upper_bound
 from .properties import run_property_suite
@@ -39,9 +41,6 @@ def _error_record(kind: str, detail: str) -> None:
 
 def _sweep_row(config: ExperimentConfig, n: int) -> dict:
     scenario = config.build(n)
-    fa, fb = flux_check(scenario)
-    if (fa, fb) != (0.0, 0.0):
-        raise InfeasibleScenario(f"nonzero flux {(fa, fb)}")
     q = CountingQM.from_text(config.pattern)
     tau = scenario.tau
     est = rho_estimate(scenario, q, K=config.K_for(scenario.m),
@@ -88,8 +87,6 @@ def cmd_validate(config: ExperimentConfig) -> int:
               f"overlaps={len(report.pairwise_overlaps)}, "
               f"bad_budget={report.bad_area_budget:.6g}, "
               f"min_spacing={report.min_overlap_spacing:.6g}")
-        if (fa, fb) != (0.0, 0.0):
-            raise InfeasibleScenario(f"nonzero flux for N={n}")
     print("all scenarios valid")
     return EXIT_OK
 
@@ -120,20 +117,25 @@ def cmd_sweep(config: ExperimentConfig, output: str | None) -> int:
     text = "\n".join(lines) + "\n"
     print(text, end="")
     path = Path(output or config.output)
-    path.write_text(text)
+    try:
+        path.write_text(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
     print(f"# wrote {path}", file=sys.stderr)
     return EXIT_OK
 
 
 def cmd_props(config: ExperimentConfig, name_filter: str | None) -> int:
     results = run_property_suite(config, name_filter)
-    failed = 0
     for name, passed, detail in results:
         status = "PASS" if passed else "FAIL"
         print(f"{status} {name}: {detail}")
-        failed += 0 if passed else 1
-    print(f"{len(results) - failed}/{len(results)} properties passed")
-    return EXIT_OK if failed == 0 else EXIT_PROPERTY
+    failed = [name for name, passed, _ in results if not passed]
+    print(f"{len(results) - len(failed)}/{len(results)} properties passed")
+    if failed:
+        _error_record("property_failure", f"failed: {', '.join(failed)}")
+        return EXIT_PROPERTY
+    return EXIT_OK
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -189,6 +191,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INFEASIBLE
     except ValidityWindowExceeded as exc:
         _error_record("validity_window_exceeded", str(exc))
+        return EXIT_INFEASIBLE
+    except DegenerateCrossing as exc:
+        _error_record("degenerate_crossing", str(exc))
         return EXIT_INFEASIBLE
     raise AssertionError("unreachable")
 

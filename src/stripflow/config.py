@@ -10,6 +10,7 @@ interchangeably.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -41,20 +42,27 @@ class ExperimentConfig:
     grid_oracle_size: int = 400
 
     def __post_init__(self):
+        # Only what no library function checks: build() maps the range
+        # checks of build_scenario and HoledTorus to ConfigError.
         try:
-            Word.from_text(self.pattern)
+            pattern = Word.from_text(self.pattern)
         except ValueError as exc:
             raise ConfigError(f"bad pattern {self.pattern!r}: {exc}") from exc
-        if len(self.pattern) == 0:
-            raise ConfigError("pattern must be nonempty")
+        if not pattern:
+            raise ConfigError(
+                f"pattern {self.pattern!r} reduces to the empty word")
         for rule, allowed in (("T_rule", ("scaled", "fixed")),
                               ("m_rule", ("scaled", "fixed")),
                               ("K_rule", ("per_m", "fixed"))):
             kind = getattr(self, rule)[0]
             if kind not in allowed:
                 raise ConfigError(f"{rule} kind must be one of {allowed}")
-        if self.samples_per_strip < 1:
-            raise ConfigError("samples_per_strip must be positive")
+        if any(n < 1 for n in self.N_list):
+            raise ConfigError(f"every N must be >= 1, got {self.N_list}")
+        for key in ("samples_per_strip", "time_samples", "space_samples",
+                    "grid_oracle_size"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"{key} must be >= 1")
 
     def T_for(self, N: int) -> float:
         kind, value = self.T_rule
@@ -63,7 +71,7 @@ class ExperimentConfig:
     def m_for(self, N: int) -> int:
         kind, value = self.m_rule
         m = value * N if kind == "scaled" else value
-        mi = int(round(m))
+        mi = round(m) if math.isfinite(m) else 0
         if mi < 1 or abs(m - mi) > 1e-12:
             raise ConfigError(f"m rule yields non-integer {m} for N={N}")
         return mi
@@ -71,16 +79,19 @@ class ExperimentConfig:
     def K_for(self, m: int) -> int:
         kind, value = self.K_rule
         k = value * m if kind == "per_m" else value
-        ki = int(round(k))
+        ki = round(k) if math.isfinite(k) else 0
         if ki < 1 or ki % m != 0:
             raise ConfigError(f"K={k} must be a positive multiple of m={m}")
         return ki
 
     def build(self, N: int) -> Scenario:
-        return build_scenario(
-            N, self.T_for(N), self.m_for(N), self.hole_halfwidth,
-            phases=(self.phase_H, self.phase_V, self.phase_D),
-            ramp_fraction=self.ramp_fraction)
+        try:
+            return build_scenario(
+                N, self.T_for(N), self.m_for(N), self.hole_halfwidth,
+                phases=(self.phase_H, self.phase_V, self.phase_D),
+                ramp_fraction=self.ramp_fraction)
+        except ValueError as exc:
+            raise ConfigError(f"N={N}: {exc}") from exc
 
 
 _INT_KEYS = {"samples_per_strip", "seed", "time_samples", "space_samples",
@@ -97,26 +108,36 @@ def _parse_rule(key: str, tokens: list[str]) -> tuple[str, float]:
 
 
 def _assign(fields: dict, key: str, tokens: list[str]):
-    if key in ("T", "T_rule"):
-        fields["T_rule"] = _parse_rule("T_rule", tokens)
-    elif key in ("m", "m_rule"):
-        fields["m_rule"] = _parse_rule("m_rule", tokens)
-    elif key in ("K", "K_rule"):
-        fields["K_rule"] = _parse_rule("K_rule", tokens)
-    elif key == "N_list":
-        fields["N_list"] = tuple(int(t) for t in tokens)
-    elif key == "pattern":
-        fields["pattern"] = tokens[0]
-    elif key == "output":
-        fields["output"] = " ".join(tokens)
-    elif key == "phase_D":
-        fields["phase_D"] = AUTO if tokens[0] == AUTO else float(tokens[0])
-    elif key in _INT_KEYS:
-        fields[key] = int(tokens[0])
-    elif key in _FLOAT_KEYS:
-        fields[key] = float(tokens[0])
-    else:
-        raise ConfigError(f"unknown configuration key {key!r}")
+    try:
+        if key in ("T", "T_rule"):
+            fields["T_rule"] = _parse_rule("T_rule", tokens)
+        elif key in ("m", "m_rule"):
+            fields["m_rule"] = _parse_rule("m_rule", tokens)
+        elif key in ("K", "K_rule"):
+            fields["K_rule"] = _parse_rule("K_rule", tokens)
+        elif key == "N_list":
+            fields["N_list"] = tuple(int(t) for t in tokens)
+        elif key == "pattern":
+            fields["pattern"] = tokens[0]
+        elif key == "output":
+            fields["output"] = " ".join(tokens)
+        elif key == "phase_D":
+            fields["phase_D"] = AUTO if tokens[0] == AUTO else float(tokens[0])
+        elif key in _INT_KEYS:
+            fields[key] = int(tokens[0])
+        elif key in _FLOAT_KEYS:
+            fields[key] = float(tokens[0])
+        else:
+            raise ConfigError(f"unknown configuration key {key!r}")
+    except (ValueError, IndexError) as exc:  # IndexError: empty JSON list
+        raise ConfigError(f"bad value for {key!r}: {exc}") from exc
+
+
+def _config(fields: dict) -> ExperimentConfig:
+    try:
+        return ExperimentConfig(**fields)
+    except TypeError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def config_from_text(text: str) -> ExperimentConfig:
@@ -132,10 +153,7 @@ def config_from_text(text: str) -> ExperimentConfig:
         if not tokens:
             raise ConfigError(f"empty value for {key!r}")
         _assign(fields, key, tokens)
-    try:
-        return ExperimentConfig(**fields)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
+    return _config(fields)
 
 
 def config_from_json(text: str) -> ExperimentConfig:
@@ -152,17 +170,14 @@ def config_from_json(text: str) -> ExperimentConfig:
         else:
             tokens = str(value).split()
         _assign(fields, key, tokens)
-    try:
-        return ExperimentConfig(**fields)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
+    return _config(fields)
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
     path = Path(path)
     try:
-        text = path.read_text()
-    except OSError as exc:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     stripped = text.lstrip()
     if path.suffix == ".json" or stripped.startswith("{"):

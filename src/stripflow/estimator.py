@@ -20,7 +20,8 @@ from . import batch
 from .counting import CountingQM, homogenized_tuple
 from .errors import ConfigError, DegenerateCrossing
 from .flow import flux_check, require_validity
-from .surface import Scenario, StripSpec, closing_word, nudge_off_cut_lines
+from .surface import (NUDGE, Scenario, StripSpec, closing_word,
+                      nudge_off_cut_lines)
 from .words import Word, cyclic_core, reduce_letters
 
 RETURN_TOL = 1e-9
@@ -91,10 +92,15 @@ def _ramp_points(strip: StripSpec, n: int, seed: int, strip_index: int):
     else:
         y = along
         x = strip.offset + h + y
-    # deterministic nudge off the cut lines
-    x = np.where(np.abs(x - np.rint(x)) < 1e-12, x + 1e-9, x)
-    y = np.where(np.abs(y - np.rint(y)) < 1e-12, y + 1e-9, y)
-    return x, y
+    return nudge_off_cut_lines((x, y))
+
+
+def _home_strips(scenario: Scenario, x: np.ndarray, y: np.ndarray):
+    """Index of the first strip whose ramp holds each point, -1 for none."""
+    home = np.full(x.shape, -1, dtype=np.int64)
+    for idx in reversed(range(len(scenario.strips))):
+        home[scenario.strips[idx].shear(x, y, 0.0)[1]] = idx
+    return home
 
 
 def _ramp_multiplicity(scenario: Scenario, x: np.ndarray, y: np.ndarray):
@@ -149,7 +155,9 @@ def _evaluate_batch(scenario: Scenario, q: CountingQM, K: int,
         class_keys[int(i)] = hit[0]
         values[i] = hit[1] / m
 
-    bad_idx = np.nonzero(bad)[0]
+    # flagged samples are re-run nudged: an end point on a cut line has no
+    # closing word
+    bad_idx = np.nonzero(bad & ~run.degenerate)[0]
     if bad_idx.size:
         full_words = batch.assemble_words(run, n, only=bad_idx)
         hh = scenario.surface.hole_halfwidth
@@ -165,7 +173,7 @@ def _evaluate_batch(scenario: Scenario, q: CountingQM, K: int,
 
 def _evaluate_with_nudges(scenario: Scenario, q: CountingQM, K: int,
                           x: np.ndarray, y: np.ndarray, home: np.ndarray):
-    """_evaluate_batch, re-running degenerate samples nudged by k * 1e-9.
+    """_evaluate_batch, re-running degenerate samples from start + k * NUDGE.
 
     A re-run sample takes the values, kind and class key of its nudged
     run.  Raises DegenerateCrossing if samples stay degenerate after
@@ -180,7 +188,7 @@ def _evaluate_with_nudges(scenario: Scenario, q: CountingQM, K: int,
                 f"degenerate samples persisted after {NUDGE_RETRIES} nudges")
         attempt += 1
         idx = np.nonzero(degenerate)[0]
-        shift = attempt * 1e-9
+        shift = attempt * NUDGE
         v2, k2, c2, d2 = _evaluate_batch(
             scenario, q, K, x[idx] + shift, y[idx] + shift, home[idx])
         values[idx], kinds[idx] = v2, k2
@@ -311,24 +319,19 @@ def iterate_word(scenario: Scenario, q: CountingQM, p: tuple[float, float],
     if K < 1:
         raise ValueError("K must be >= 1")
     m = scenario.m
-    p = nudge_off_cut_lines(p)
-    for _ in range(NUDGE_RETRIES + 1):
-        x = np.array([p[0]])
-        y = np.array([p[1]])
-        home = np.full(1, -1, dtype=np.int64)
-        on_own = [i for i, s in enumerate(scenario.strips)
-                  if s.shear(p[0], p[1], 0.0)[1]]
-        if on_own:
-            home[0] = on_own[0]
+    x0, y0 = nudge_off_cut_lines((np.array([float(p[0])]),
+                                  np.array([float(p[1])])))
+    for attempt in range(NUDGE_RETRIES + 1):
+        x, y = x0 + attempt * NUDGE, y0 + attempt * NUDGE
         run = batch.run_batch(scenario, scenario.tau, K, x, y,
-                              home=home, collect=True,
+                              home=_home_strips(scenario, x, y), collect=True,
                               m_snapshot=min(m, K))
         if not run.degenerate[0]:
             break
-        p = (p[0] + 1e-9, p[1] + 1e-9)
     else:
         raise DegenerateCrossing(f"point {p} degenerate after retries")
 
+    p = (float(x[0]), float(y[0]))
     end = (float(run.x_end[0]), float(run.y_end[0]))
     letters = list(batch.assemble_words(run, 1).get(0, ()))
     close, _ = closing_word(end, p, scenario.surface.hole_halfwidth)
@@ -361,16 +364,10 @@ def grid_estimate(scenario: Scenario, q: CountingQM, K: int | None = None,
     xs = (np.arange(grid) + 0.5) / grid
     gx, gy = np.meshgrid(xs, xs, indexing="ij")
     gx, gy = gx.ravel(), gy.ravel()
-    home = np.full(gx.size, -1, dtype=np.int64)
-    covered = np.zeros(gx.size, dtype=bool)
-    for idx, s in enumerate(scenario.strips):
-        _, on, _ = s.shear(gx, gy, 0.0)
-        home[on & ~covered] = idx
-        covered |= on
-    sel = np.nonzero(covered)[0]
-    x, y = gx[sel], gy[sel]
+    home = _home_strips(scenario, gx, gy)
+    sel = np.nonzero(home >= 0)[0]
     values, kinds, class_keys = _evaluate_with_nudges(
-        scenario, q, K, x, y, home[sel])
+        scenario, q, K, gx[sel], gy[sel], home[sel])
     cell = 1.0 / (grid * grid)
     value = float(values.sum() * cell)
     count = values.size

@@ -14,7 +14,8 @@ the scalar reference the vectorized engine in ``batch`` is checked against;
 the pullback chain in the plane lift, which carries the winding bookkeeping
 for free.  The generator feeds ``hofer_upper_bound`` and ``calabi``, and
 ``calabi_region_decomposition`` gives Calabi in closed form.  ``flux_check``
-and ``per_copy_flux`` certify that the composition is Hamiltonian.
+and ``per_copy_flux`` (defined in ``surface``, which validates with it)
+certify that the composition is Hamiltonian.
 """
 from __future__ import annotations
 
@@ -23,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidityWindowExceeded
-from .surface import DIRECTION_VECTORS, Scenario, StripSpec
+from .surface import (DIRECTION_VECTORS, Scenario, StripSpec,  # noqa: F401
+                      per_copy_flux)
 
 # Sign of each strip's contribution to the generating function: the strip
 # Hamiltonian is +sigma*c(h) for H strips and -sigma*c(h) for V and D strips
@@ -286,13 +288,3 @@ def flux_check(scenario: Scenario) -> tuple[float, float]:
         fa += strip.orientation * int(vx)
         fb += strip.orientation * int(vy)
     return float(fa), float(fb)
-
-
-def per_copy_flux(scenario: Scenario) -> dict[int, tuple[float, float]]:
-    out: dict[int, list[float]] = {}
-    for strip in scenario.strips:
-        vx, vy = DIRECTION_VECTORS[strip.direction]
-        acc = out.setdefault(strip.copy_id, [0.0, 0.0])
-        acc[0] += strip.orientation * vx
-        acc[1] += strip.orientation * vy
-    return {k: (v[0], v[1]) for k, v in out.items()}

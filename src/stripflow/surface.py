@@ -28,6 +28,8 @@ import math
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import DegenerateCrossing, InfeasibleScenario
 from .words import Word
 
@@ -39,6 +41,8 @@ CLASS_WORDS = {"H": Word.from_text("a"), "V": Word.from_text("b"),
 # the hole projects to |y| < hh, |x| < hh and |x - y| < 2 hh.
 HOLE_CLEARANCE = {"H": 1.0, "V": 1.0, "D": 2.0}
 
+# A coordinate within CUT_LINE_TOL of an integer lies on a cut line and has
+# no exact crossing word; such points are moved by multiples of NUDGE.
 CUT_LINE_TOL = 1e-12
 NUDGE = 1e-9
 
@@ -133,10 +137,8 @@ class StripSpec:
 @dataclass(frozen=True)
 class OverlapReport:
     pairwise_overlaps: tuple[tuple[int, int, float], ...]
-    max_overlap_area: float
     bad_area_budget: float
     min_overlap_spacing: float
-    triple_overlap_count: int = 0
 
 
 @dataclass(frozen=True)
@@ -248,19 +250,15 @@ def validate_scenario(scenario: Scenario) -> OverlapReport:
     N = scenario.N
     if len(strips) != 3 * N:
         raise InfeasibleScenario(f"expected {3 * N} strips, found {len(strips)}")
+    flux = per_copy_flux(scenario)
     for copy_id in range(N):
-        members = [s for s in strips if s.copy_id == copy_id]
-        dirs = sorted(s.direction for s in members)
+        dirs = sorted(s.direction for s in strips if s.copy_id == copy_id)
         if dirs != ["D", "H", "V"]:
             raise InfeasibleScenario(
                 f"copy {copy_id} must hold one strip of each direction, got {dirs}")
-        flux = [0.0, 0.0]
-        for s in members:
-            vec = DIRECTION_VECTORS[s.direction]
-            flux[0] += s.orientation * vec[0]
-            flux[1] += s.orientation * vec[1]
-        if flux != [0.0, 0.0]:
-            raise InfeasibleScenario(f"copy {copy_id} has nonzero flux {flux}")
+        if flux[copy_id] != (0.0, 0.0):
+            raise InfeasibleScenario(
+                f"copy {copy_id} has nonzero flux {flux[copy_id]}")
     for s in strips:
         if not s.avoids_hole(scenario.surface.hole_halfwidth):
             raise InfeasibleScenario(
@@ -272,7 +270,6 @@ def validate_scenario(scenario: Scenario) -> OverlapReport:
                 raise InfeasibleScenario(
                     f"parallel strips {s1.direction}@{s1.offset:.6g} and "
                     f"@{s2.offset:.6g} overlap")
-    triples = 0
     hs = [s for s in strips if s.direction == "H"]
     vs = [s for s in strips if s.direction == "V"]
     ds = [s for s in strips if s.direction == "D"]
@@ -280,9 +277,9 @@ def validate_scenario(scenario: Scenario) -> OverlapReport:
         for v in vs:
             for d in ds:
                 if _triple_overlap(h, v, d):
-                    triples += 1
-    if triples:
-        raise InfeasibleScenario(f"{triples} triple overlap(s) present")
+                    raise InfeasibleScenario(
+                        f"triple overlap of H@{h.offset:.6g}, "
+                        f"V@{v.offset:.6g} and D@{d.offset:.6g}")
 
     pairs = []
     for i, s1 in enumerate(strips):
@@ -296,11 +293,20 @@ def validate_scenario(scenario: Scenario) -> OverlapReport:
          for s in strips), default=1.0)
     return OverlapReport(
         pairwise_overlaps=tuple(pairs),
-        max_overlap_area=max((a for _, _, a in pairs), default=0.0),
         bad_area_budget=scenario.m * total,
         min_overlap_spacing=spacing,
-        triple_overlap_count=0,
     )
+
+
+def per_copy_flux(scenario: Scenario) -> dict[int, tuple[float, float]]:
+    """Flux of each copy across the two cut circles, keyed by copy id."""
+    out: dict[int, list[float]] = {}
+    for strip in scenario.strips:
+        vx, vy = DIRECTION_VECTORS[strip.direction]
+        acc = out.setdefault(strip.copy_id, [0.0, 0.0])
+        acc[0] += strip.orientation * vx
+        acc[1] += strip.orientation * vy
+    return {k: (v[0], v[1]) for k, v in out.items()}
 
 
 # -- scenario construction ---------------------------------------------------
@@ -351,13 +357,12 @@ def _auto_phase_d(N: int, T: float, phase_h: float, phase_v: float,
 
 def build_scenario(N: int, T: float, m: int, hole_halfwidth: float,
                    phases: tuple[float, float, float | str] | None = None,
-                   offsets: dict[str, Sequence[float]] | None = None,
                    ramp_fraction: float = DEFAULT_RAMP_FRACTION,
                    smoothing: float | None = None) -> Scenario:
     """Place 3N strips (one H, V, D per copy) and validate the layout.
 
-    Offsets default to arithmetic 1/N grids with per-direction phases;
-    phase_D may be ``"auto"``.  ``smoothing`` overrides the default
+    Offsets are arithmetic 1/N grids with per-direction phases; phase_D
+    may be ``"auto"``.  ``smoothing`` overrides the default
     ramp_fraction rule (smoothing = width * (1 - ramp_fraction) / 2).
     Raises InfeasibleScenario when the constraints cannot be met.
     """
@@ -373,18 +378,14 @@ def build_scenario(N: int, T: float, m: int, hole_halfwidth: float,
             raise ValueError("ramp_fraction must lie in (0, 1]")
         smoothing = T * (1.0 - ramp_fraction) / 2.0
 
-    if offsets is None:
-        if phases is None:
-            phases = (DEFAULT_PHASE_H, DEFAULT_PHASE_V, AUTO)
-        phase_h, phase_v, phase_d = phases
-        if phase_d == AUTO:
-            phase_d = _auto_phase_d(N, T, phase_h, phase_v, hole_halfwidth)
-        offsets = {"H": _grid_offsets(phase_h, N),
-                   "V": _grid_offsets(phase_v, N),
-                   "D": _grid_offsets(float(phase_d), N)}
-    for direction in DIRECTIONS:
-        if len(offsets[direction]) != N:
-            raise ValueError(f"need {N} offsets for direction {direction}")
+    if phases is None:
+        phases = (DEFAULT_PHASE_H, DEFAULT_PHASE_V, AUTO)
+    phase_h, phase_v, phase_d = phases
+    if phase_d == AUTO:
+        phase_d = _auto_phase_d(N, T, phase_h, phase_v, hole_halfwidth)
+    offsets = {"H": _grid_offsets(phase_h, N),
+               "V": _grid_offsets(phase_v, N),
+               "D": _grid_offsets(float(phase_d), N)}
 
     strips = []
     for i in range(N):
@@ -402,29 +403,25 @@ def build_scenario(N: int, T: float, m: int, hole_halfwidth: float,
     return scenario.with_validation(report)
 
 
-def membership(scenario: Scenario, p: tuple[float, float]):
-    """All strips containing p, with the transverse coordinate h in (0, width)."""
-    out = []
-    for idx, s in enumerate(scenario.strips):
-        h = s.transverse(p[0], p[1])
-        if 0.0 < h < s.width:
-            out.append((idx, h))
-    return out
-
-
 # -- crossing words ----------------------------------------------------------
 
 
-def _check_off_cut_lines(p: tuple[float, float]):
-    for coord in p:
-        if abs(coord - round(coord)) < CUT_LINE_TOL:
-            raise DegenerateCrossing(f"point {p} lies on a cut line")
+def near_cut_line(c):
+    """The one cut-line test: is c within CUT_LINE_TOL of an integer?
+    Works on floats and numpy arrays alike."""
+    return np.abs(c - np.rint(c)) < CUT_LINE_TOL
+
+
+def nudge_off_cut_lines(p):
+    """Push a point, or a pair of coordinate arrays, off the cut lines by NUDGE."""
+    x, y = p
+    return x + NUDGE * near_cut_line(x), y + NUDGE * near_cut_line(y)
 
 
 def segment_crossings(p: tuple[float, float], q: tuple[float, float]):
     """Ordered (t, letter) crossings of integer lines along the lifted segment."""
-    _check_off_cut_lines(p)
-    _check_off_cut_lines(q)
+    if any(near_cut_line(c) for c in (*p, *q)):
+        raise DegenerateCrossing(f"segment {p} -> {q} ends on a cut line")
     events = []
     for axis, letter in ((0, 1), (1, 2)):
         lo, hi = p[axis], q[axis]
@@ -471,7 +468,9 @@ def _segment_hits_square(p, q, L, hh) -> bool:
     return t1 - t0 > 1e-15
 
 
-def _segment_hits_hole(p, q, hole_halfwidth: float) -> bool:
+def _segment_hits_hole(p, q, hole_halfwidth: float):
+    """The first lattice point whose lifted hole the segment p -> q enters,
+    scanning x then y upwards, or None."""
     hh = hole_halfwidth
     x_lo, x_hi = min(p[0], q[0]) - hh, max(p[0], q[0]) + hh
     y_lo, y_hi = min(p[1], q[1]) - hh, max(p[1], q[1]) + hh
@@ -480,8 +479,8 @@ def _segment_hits_hole(p, q, hole_halfwidth: float) -> bool:
             continue
         for ly in range(math.floor(y_lo), math.ceil(y_hi) + 1):
             if y_lo <= ly <= y_hi and _segment_hits_square(p, q, (lx, ly), hh):
-                return True
-    return False
+                return (lx, ly)
+    return None
 
 
 _DETOUR_OFFSETS = ((2.5, 0.4), (0.4, 2.5), (-2.5, 0.4), (0.4, -2.5),
@@ -502,58 +501,35 @@ def closing_word(end: tuple[float, float], start: tuple[float, float],
     target = (end[0] + dx, end[1] + dy)
     if dx == 0.0 and dy == 0.0:
         return Word(), []
-    if not _segment_hits_hole(end, target, hole_halfwidth):
+    offender = _segment_hits_hole(end, target, hole_halfwidth)
+    if offender is None:
         chain = [(end, target)]
     else:
+        candidates: list[list[tuple[float, float]]] = []
+        for ox, oy in _DETOUR_OFFSETS:
+            candidates.append([(offender[0] + ox * hole_halfwidth,
+                                offender[1] + oy * hole_halfwidth)])
+        # two-waypoint routes skirting the square on one side
+        for side in (2.5, -2.5):
+            ly = offender[1] + side * hole_halfwidth
+            lx = offender[0] + side * hole_halfwidth
+            candidates.append([(end[0], ly), (target[0], ly)])
+            candidates.append([(lx, end[1]), (lx, target[1])])
         chain = None
-        offender = None
-        # find the offending lattice square (scan the bounding box)
-        for lx in range(math.floor(min(end[0], target[0]) - 1),
-                        math.ceil(max(end[0], target[0]) + 1) + 1):
-            for ly in range(math.floor(min(end[1], target[1]) - 1),
-                            math.ceil(max(end[1], target[1]) + 1) + 1):
-                if _segment_hits_square(end, target, (lx, ly), hole_halfwidth):
-                    offender = (lx, ly)
-                    break
-            if offender:
+        for waypoints in candidates:
+            pts = [end, *waypoints, target]
+            segs = list(zip(pts, pts[1:]))
+            if all(_segment_hits_hole(a, b, hole_halfwidth) is None
+                   for a, b in segs):
+                chain = segs
                 break
-        if offender is None:  # numerical corner case: treat as direct
-            chain = [(end, target)]
-        else:
-            candidates: list[list[tuple[float, float]]] = []
-            for ox, oy in _DETOUR_OFFSETS:
-                candidates.append([(offender[0] + ox * hole_halfwidth,
-                                    offender[1] + oy * hole_halfwidth)])
-            # two-waypoint routes skirting the square on one side
-            for side in (2.5, -2.5):
-                ly = offender[1] + side * hole_halfwidth
-                lx = offender[0] + side * hole_halfwidth
-                candidates.append([(end[0], ly), (target[0], ly)])
-                candidates.append([(lx, end[1]), (lx, target[1])])
-            for waypoints in candidates:
-                pts = [end, *waypoints, target]
-                segs = list(zip(pts, pts[1:]))
-                if all(not _segment_hits_hole(a, b, hole_halfwidth)
-                       for a, b in segs):
-                    chain = segs
-                    break
-            if chain is None:
-                raise DegenerateCrossing(
-                    f"no hole-avoiding closing path from {end} to {start}")
+        if chain is None:
+            raise DegenerateCrossing(
+                f"no hole-avoiding closing path from {end} to {start}")
     letters = []
     for a, b in chain:
         letters.extend(letter for _, letter in segment_crossings(a, b))
     return Word(letters), chain
-
-
-def nudge_off_cut_lines(p: tuple[float, float]) -> tuple[float, float]:
-    """Deterministically push a point off the cut lines if within tolerance."""
-    x, y = p
-    if abs(x - round(x)) < CUT_LINE_TOL:
-        x += NUDGE
-    if abs(y - round(y)) < CUT_LINE_TOL:
-        y += NUDGE
-    return (x, y)
 
 
 # -- serialization -----------------------------------------------------------

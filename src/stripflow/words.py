@@ -7,7 +7,7 @@ e.g. ``abAB`` for the commutator.
 """
 from __future__ import annotations
 
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator
 
 NUM_GENERATORS = 2
 
@@ -15,33 +15,26 @@ _INT_TO_CHAR = {1: "a", -1: "A", 2: "b", -2: "B"}
 _CHAR_TO_INT = {v: k for k, v in _INT_TO_CHAR.items()}
 
 
-class Letter(NamedTuple):
-    """A single generator or its inverse: ``generator`` in {1, 2}, ``sign`` +-1."""
-
-    generator: int
-    sign: int
-
-    def encode(self) -> int:
-        return self.generator * self.sign
-
-
 def _as_int(letter) -> int:
-    code = letter.encode() if isinstance(letter, Letter) else int(letter)
+    code = int(letter)
     if code == 0 or abs(code) > NUM_GENERATORS:
         raise ValueError(f"invalid letter code {letter!r}")
     return code
 
 
-def reduce_letters(raw: Iterable) -> tuple[int, ...]:
-    """Freely reduce a letter sequence (ints or Letters) to a tuple of ints."""
-    out: list[int] = []
-    for item in raw:
-        code = _as_int(item)
+def _push(out: list[int], codes: Iterable[int]) -> list[int]:
+    """Append letter codes to the reduced list ``out``, cancelling as it goes."""
+    for code in codes:
         if out and out[-1] == -code:
             out.pop()
         else:
             out.append(code)
-    return tuple(out)
+    return out
+
+
+def reduce_letters(raw: Iterable) -> tuple[int, ...]:
+    """Freely reduce a sequence of letter codes to a tuple of ints."""
+    return tuple(_push([], map(_as_int, raw)))
 
 
 def cyclic_core(letters: tuple[int, ...]) -> tuple[int, ...]:
@@ -80,13 +73,7 @@ class Word:
     # group operations ----------------------------------------------------
 
     def __mul__(self, other: "Word") -> "Word":
-        out = list(self.letters)
-        for code in other.letters:
-            if out and out[-1] == -code:
-                out.pop()
-            else:
-                out.append(code)
-        return Word(out, _reduced=True)
+        return Word(_push(list(self.letters), other.letters), _reduced=True)
 
     def inverse(self) -> "Word":
         return Word(tuple(-c for c in reversed(self.letters)), _reduced=True)

@@ -68,3 +68,13 @@ def test_run_batch_matches_reference(name, n_steps):
         assert abs(run.x_end[i] - p[0]) <= 1e-12
         assert abs(run.y_end[i] - p[1]) <= 1e-12
         assert Word(words.get(i, ())) == word
+
+
+def test_run_batch_flags_end_point_on_cut_line():
+    # one D-strip step moves (1.125, 0.625) down onto x = 1 without crossing
+    # it; the end point has no closing word, so the sample must be flagged
+    scenario = build_scenario(1, 0.05, 8, 0.02, smoothing=0.0)
+    x0, y0 = np.array([1.125]), np.array([0.625])
+    run = run_batch(scenario, scenario.tau, 1, x0, y0, collect=True)
+    assert (run.x_end[0], run.y_end[0]) == (1.0, 0.5)
+    assert run.degenerate[0]

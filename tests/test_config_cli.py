@@ -1,13 +1,18 @@
 """Configuration parsing and the command-line interface."""
+import contextlib
+import io
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from stripflow import cli
 from stripflow.cli import CSV_HEADER, main
 from stripflow.config import (ExperimentConfig, config_from_json,
                               config_from_text, config_to_text, load_config)
-from stripflow.errors import ConfigError
+from stripflow.errors import ConfigError, DegenerateCrossing
 
 TINY = """
 pattern = ab
@@ -171,3 +176,101 @@ def test_cli_show_config(capsys):
     assert main(["show-config"]) == 0
     out = capsys.readouterr().out
     assert "pattern = ab" in out
+
+
+def _one_error_record(err: str) -> dict:
+    lines = err.strip().splitlines()
+    assert len(lines) == 1, lines
+    record = json.loads(lines[0])
+    assert set(record) == {"error", "detail"}
+    return record
+
+
+# Each document is TINY plus the given line; {tmp} is the test directory and
+# \udcff is written as the raw byte 0xff, which is not UTF-8.
+BROKEN = {
+    "T_too_wide": ("validate", "T = 0.3", 2, "invalid_config"),
+    "hole_too_wide": ("validate", "hole_halfwidth = 0.5", 2, "invalid_config"),
+    "no_ramp": ("validate", "ramp_fraction = 0", 2, "invalid_config"),
+    "N_zero": ("validate", "N_list = 0", 2, "invalid_config"),
+    "samples_not_int": ("validate", "samples_per_strip = abc", 2,
+                        "invalid_config"),
+    "seed_not_int": ("validate", "seed = 1.5", 2, "invalid_config"),
+    "N_not_int": ("validate", "N_list = 1 x", 2, "invalid_config"),
+    "no_time_samples": ("sweep", "time_samples = 0", 2, "invalid_config"),
+    "pattern_reduces_to_identity": ("sweep", "pattern = aA", 2,
+                                    "invalid_config"),
+    "not_utf8": ("validate", "# \udcff", 2, "invalid_config"),
+    "unwritable_output": ("sweep", "output = {tmp}/missing/out.csv", 2,
+                          "invalid_config"),
+    "property_failure": ("props", "phase_D = 0.04", 4, "property_failure"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BROKEN))
+def test_cli_error_contract(case, tmp_path, capsys):
+    command, line, code, error = BROKEN[case]
+    p = tmp_path / "broken.cfg"
+    text = TINY + line.format(tmp=tmp_path) + "\n"
+    p.write_bytes(text.encode("utf-8", "surrogateescape"))
+    args = [command, str(p)] + (["--filter", "flux"] if command == "props" else [])
+    assert main(args) == code
+    assert _one_error_record(capsys.readouterr().err)["error"] == error
+
+
+def test_cli_degenerate_crossing_exit_code(tmp_path, capsys, monkeypatch):
+    def stuck(*args, **kwargs):
+        raise DegenerateCrossing("sample stays on a cut line")
+
+    monkeypatch.setattr(cli, "rho_estimate", stuck)
+    assert main(["sweep", str(_write_tiny(tmp_path))]) == 3
+    assert _one_error_record(capsys.readouterr().err)["error"] == \
+        "degenerate_crossing"
+
+
+# Hostile config documents: every outcome is a documented exit code with one
+# JSON stderr line on failure.  N stays <= 16 (validation is O(N^3)): no
+# value below parses as an integer above 16.
+_KEYS = ("pattern", "N_list", "T", "T_rule", "m", "m_rule", "K", "K_rule",
+         "hole_halfwidth", "samples_per_strip", "seed", "output", "phase_H",
+         "phase_V", "phase_D", "ramp_fraction", "time_samples",
+         "space_samples", "grid_oracle_size", "no_such_key")
+_TEXT_VALUES = st.one_of(
+    st.sampled_from(["0", "-1", "nan", "inf", "-inf", "1e400", "abc", "",
+                     "aA", "ab", "abAB", "auto", "scaled", "per_m 4",
+                     "fixed 0.05", "scaled 0.16 9", "0.3", "0.02", "1 x",
+                     "1 2 4", "0.5"]),
+    st.integers(-2, 16).map(str),
+    st.floats().map(repr))
+_JSON_VALUES = st.one_of(
+    _TEXT_VALUES, st.integers(-2, 16), st.floats(), st.none(), st.booleans(),
+    st.lists(st.one_of(st.integers(-2, 16), _TEXT_VALUES), max_size=3))
+
+
+@st.composite
+def _documents(draw):
+    if draw(st.booleans()):
+        fields = draw(st.dictionaries(st.sampled_from(_KEYS), _JSON_VALUES,
+                                      max_size=6))
+        return "c.json", json.dumps(fields)
+    fields = draw(st.dictionaries(st.sampled_from(_KEYS), _TEXT_VALUES,
+                                  max_size=6))
+    return "c.cfg", "".join(f"{k} = {v}\n" for k, v in fields.items())
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(_documents())
+def test_cli_fuzz_config_documents(document):
+    name, text = document
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / name
+        path.write_text(text)
+        for command in ("validate", "show-config"):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([command, str(path)])
+            assert code in (0, 2, 3)
+            if code:
+                _one_error_record(err.getvalue())
+            else:
+                assert err.getvalue() == ""

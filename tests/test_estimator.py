@@ -81,6 +81,23 @@ def test_iterate_word_nudges_degenerate_start():
     assert rec.kind in ("stationary", "periodic", "bad")
 
 
+def test_iterate_word_nudges_end_point_on_cut_line():
+    # the first step lands exactly on x = 1 (see test_batch); the nudged
+    # re-run ends off the cut line and has a closing word
+    s = _scenario(T=0.05, m=8, smoothing=0.0)
+    rec = iterate_word(s, AB, (1.125, 0.625), 1)
+    assert rec.kind == "bad"
+    assert rec.start == (1.125 + 1e-9, 0.625 + 1e-9)
+
+
+@pytest.mark.parametrize("grid", [60, 100])
+def test_grid_estimate_nudges_end_points_on_cut_lines(grid):
+    # some grid orbits end exactly on a cut line at these grid sizes
+    s = _scenario(T=0.05, m=8, smoothing=0.0)
+    est = grid_estimate(s, AB, K=2 * s.m, grid=grid)
+    assert np.isfinite(est.value)
+
+
 def test_rho_predicted_examples():
     s4 = _scenario(N=4, T=0.04, m=64)
     pred = rho_predicted(s4, AB)

@@ -7,7 +7,7 @@ import pytest
 
 from stripflow.errors import DegenerateCrossing, InfeasibleScenario
 from stripflow.surface import (HoledTorus, Scenario, StripSpec, build_scenario,
-                               closing_word, crossing_word, membership,
+                               closing_word, crossing_word,
                                nudge_off_cut_lines, scenario_from_text,
                                scenario_to_text, segment_crossings,
                                validate_scenario, _segment_hits_hole)
@@ -39,8 +39,6 @@ def test_build_example_from_grid_phases():
     s = build_scenario(1, 0.05, 10, 0.02, phases=(0.3, 0.3, 0.15), smoothing=0.0)
     assert len(s.strips) == 3
     assert len(s.validation.pairwise_overlaps) == 3
-    assert s.validation.triple_overlap_count == 0
-    assert s.validation.max_overlap_area == pytest.approx(0.05 ** 2)
     assert s.validation.bad_area_budget == pytest.approx(10 * 3 * 0.05 ** 2)
 
 
@@ -97,17 +95,6 @@ def test_triple_overlap_detected_by_validator():
     scen = Scenario(HoledTorus(0.02), strips, 1, 0.05, 10)
     with pytest.raises(InfeasibleScenario, match="triple"):
         validate_scenario(scen)
-
-
-def test_membership_operation():
-    s = build_scenario(1, 0.05, 10, 0.02, phases=(0.3, 0.3, 0.15), smoothing=0.0)
-    inside_h = (0.7, 0.32)
-    got = membership(s, inside_h)
-    assert [i for i, _ in got] == [0]
-    assert got[0][1] == pytest.approx(0.02)
-    assert membership(s, (0.2, 0.2)) == []
-    overlap_pt = (0.32, 0.33)  # in H and V bands
-    assert sorted(i for i, _ in membership(s, overlap_pt)) == [0, 1]
 
 
 def test_crossing_word_examples():
