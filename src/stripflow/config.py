@@ -80,7 +80,7 @@ class ExperimentConfig:
         kind, value = self.K_rule
         k = value * m if kind == "per_m" else value
         ki = round(k) if math.isfinite(k) else 0
-        if ki < 1 or ki % m != 0:
+        if ki < 1 or abs(k - ki) > 1e-12 or ki % m != 0:
             raise ConfigError(f"K={k} must be a positive multiple of m={m}")
         return ki
 
@@ -107,6 +107,13 @@ def _parse_rule(key: str, tokens: list[str]) -> tuple[str, float]:
     raise ConfigError(f"{key} expects 'kind value' or a plain number")
 
 
+def _single(key: str, tokens: list[str]) -> str:
+    if len(tokens) != 1:
+        raise ConfigError(
+            f"{key!r} takes one value, got {len(tokens)}: {tokens!r}")
+    return tokens[0]
+
+
 def _assign(fields: dict, key: str, tokens: list[str]):
     try:
         if key in ("T", "T_rule"):
@@ -118,18 +125,19 @@ def _assign(fields: dict, key: str, tokens: list[str]):
         elif key == "N_list":
             fields["N_list"] = tuple(int(t) for t in tokens)
         elif key == "pattern":
-            fields["pattern"] = tokens[0]
+            fields["pattern"] = _single(key, tokens)
         elif key == "output":
             fields["output"] = " ".join(tokens)
         elif key == "phase_D":
-            fields["phase_D"] = AUTO if tokens[0] == AUTO else float(tokens[0])
+            value = _single(key, tokens)
+            fields["phase_D"] = AUTO if value == AUTO else float(value)
         elif key in _INT_KEYS:
-            fields[key] = int(tokens[0])
+            fields[key] = int(_single(key, tokens))
         elif key in _FLOAT_KEYS:
-            fields[key] = float(tokens[0])
+            fields[key] = float(_single(key, tokens))
         else:
             raise ConfigError(f"unknown configuration key {key!r}")
-    except (ValueError, IndexError) as exc:  # IndexError: empty JSON list
+    except ValueError as exc:
         raise ConfigError(f"bad value for {key!r}: {exc}") from exc
 
 

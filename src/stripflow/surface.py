@@ -61,6 +61,16 @@ DEFAULT_PHASE_V = 0.31 + PHASE_EPS
 AUTO = "auto"
 
 
+def transverse_lift(direction: str, x, y):
+    """Transverse coordinate of a direction in the plane lift: y (H), x (V)
+    or x - y (D).  Works on floats and numpy arrays alike."""
+    if direction == "H":
+        return y
+    if direction == "V":
+        return x
+    return x - y
+
+
 @dataclass(frozen=True)
 class HoledTorus:
     hole_halfwidth: float
@@ -112,12 +122,7 @@ class StripSpec:
         smoothing``, and the along-strip displacement of the time-t map,
         ``orientation * t / ramp_width`` on the ramp and 0 off it.
         """
-        if self.direction == "H":
-            s = y - self.offset
-        elif self.direction == "V":
-            s = x - self.offset
-        else:
-            s = x - y - self.offset
+        s = transverse_lift(self.direction, x, y) - self.offset
         h = s % 1.0
         on_ramp = (self.smoothing < h) & (h < self.width - self.smoothing)
         return s, on_ramp, on_ramp * (self.orientation * t / self.ramp_width)

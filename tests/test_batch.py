@@ -2,7 +2,9 @@
 import numpy as np
 import pytest
 
-from stripflow.batch import assemble_words, run_batch
+from stripflow import batch
+from stripflow.batch import assemble_words, run_batch, wrapped_return
+from stripflow.estimator import RETURN_TOL, _home_strips, _ramp_points
 from stripflow.flow import apply_composed
 from stripflow.surface import build_scenario, crossing_word
 from stripflow.words import Word
@@ -78,3 +80,203 @@ def test_run_batch_flags_end_point_on_cut_line():
     run = run_batch(scenario, scenario.tau, 1, x0, y0, collect=True)
     assert (run.x_end[0], run.y_end[0]) == (1.0, 0.5)
     assert run.degenerate[0]
+
+
+# -- the lone-orbit fast path against the full engine ----------------------------
+
+
+def _no_lone_orbits(scenario, t, n_steps, x0, y0, home):
+    return np.zeros(x0.size, bool), []
+
+
+def _full_engine(*args, **kwargs):
+    """run_batch with the lone-orbit filter off: every sample goes through
+    the full 3N-strip engine."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(batch, "_lone_orbits", _no_lone_orbits)
+        return run_batch(*args, **kwargs)
+
+
+def _same_bits(a, b):
+    if a is None or b is None:
+        return a is None and b is None
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _events(run):
+    """Crossing events in one canonical order; the two paths emit them in
+    different orders, which assemble_words does not depend on."""
+    order = np.lexsort((run.event_letter, run.event_key, run.event_sample))
+    return (run.event_sample[order], run.event_key[order],
+            run.event_letter[order])
+
+
+def _assert_fast_path_exact(scenario, n_steps, x0, y0, home, m_snapshot=None,
+                            collect=True, compact_fixed=True):
+    args = (scenario, scenario.tau, n_steps, x0, y0)
+    kwargs = dict(home=home, collect=collect, m_snapshot=m_snapshot,
+                  compact_fixed=compact_fixed)
+    fast = run_batch(*args, **kwargs)
+    full = _full_engine(*args, **kwargs)
+    for field in ("x_end", "y_end", "x_m", "y_m", "moved", "foreign",
+                  "degenerate"):
+        assert _same_bits(getattr(fast, field), getattr(full, field)), field
+    assert fast.applications_per_step == full.applications_per_step
+    if not collect:
+        assert fast.event_sample is None and full.event_sample is None
+        return
+    for a, b in zip(_events(fast), _events(full)):
+        assert _same_bits(a, b)
+    n = x0.size
+    assert assemble_words(fast, n) == assemble_words(full, n)
+    if m_snapshot is not None:
+        max_key = float(m_snapshot * fast.applications_per_step)
+        assert (assemble_words(fast, n, max_key=max_key)
+                == assemble_words(full, n, max_key=max_key))
+
+
+def _lone_count(scenario, n_steps, x0, y0, home):
+    lone = batch._lone_orbits(scenario, scenario.tau, n_steps, x0, y0, home)[0]
+    return int(lone.sum())
+
+
+def _sample_batch(scenario, n, seed):
+    """The estimator's seeded ramp samples, plus points on two ramps."""
+    xs, ys, homes = [], [], []
+    for si, strip in enumerate(scenario.strips):
+        x, y = _ramp_points(strip, n, seed, si)
+        xs.append(x)
+        ys.append(y)
+        homes.append(np.full(n, si))
+    x, y = _seeded_points(scenario, seed)
+    xs.append(x)
+    ys.append(y)
+    homes.append(_home_strips(scenario, x, y))
+    return np.concatenate(xs), np.concatenate(ys), np.concatenate(homes)
+
+
+@pytest.mark.parametrize("ramp_fraction", [0.125, 1.0])
+@pytest.mark.parametrize("N", [1, 2, 4])
+def test_fast_path_matches_full_engine(N, ramp_fraction):
+    scenario = build_scenario(N, 0.16 / N, 16 * N, 0.02,
+                              ramp_fraction=ramp_fraction)
+    m = scenario.m
+    x0, y0, home = _sample_batch(scenario, 150, seed=N)
+    if ramp_fraction < 1.0:
+        assert _lone_count(scenario, 4 * m, x0, y0, home) > x0.size // 2
+    _assert_fast_path_exact(scenario, 4 * m, x0, y0, home, m_snapshot=m)
+
+
+@pytest.mark.parametrize("collect,compact_fixed,m_snapshot",
+                         [(False, True, 16), (True, False, 16),
+                          (True, True, None), (True, True, 0),
+                          (True, True, 64), (True, True, 65)])
+def test_fast_path_matches_full_engine_options(collect, compact_fixed,
+                                               m_snapshot):
+    scenario = build_scenario(1, 0.16, 16, 0.02)
+    x0, y0, home = _sample_batch(scenario, 200, seed=5)
+    _assert_fast_path_exact(scenario, 64, x0, y0, home, m_snapshot=m_snapshot,
+                            collect=collect, compact_fixed=compact_fixed)
+
+
+def test_fast_path_without_smoothing():
+    scenario = build_scenario(1, 0.05, 8, 0.02, smoothing=0.0)
+    x0, y0, home = _sample_batch(scenario, 300, seed=11)
+    assert _lone_count(scenario, 32, x0, y0, home) > 0
+    _assert_fast_path_exact(scenario, 32, x0, y0, home, m_snapshot=8)
+
+
+def test_fast_path_lone_orbits_that_do_not_return():
+    # at ramp_fraction 0.3 a lone orbit travels 1/0.3 loops in m steps, so
+    # it does not return and is bad
+    scenario = build_scenario(1, 0.16, 4, 0.02, ramp_fraction=0.3)
+    m = scenario.m
+    x0, y0, home = _sample_batch(scenario, 400, seed=13)
+    lone = batch._lone_orbits(scenario, scenario.tau, m, x0, y0, home)[0]
+    run = run_batch(scenario, scenario.tau, m, x0, y0, home=home,
+                    collect=True, m_snapshot=m)
+    returned = wrapped_return(run.x_m, run.y_m, x0, y0, RETURN_TOL)
+    assert (lone & run.moved & ~returned).sum() > 100
+    _assert_fast_path_exact(scenario, m, x0, y0, home, m_snapshot=m)
+
+
+def _edge_points(scenario, rng, offsets):
+    """Points whose transverse coordinate sits at ``offsets`` from every
+    band and ramp edge of every strip, each with that strip as home."""
+    xs, ys, homes = [], [], []
+    for si, s in enumerate(scenario.strips):
+        other = "V" if s.direction == "H" else "H"
+        edges = (s.offset, s.offset + s.smoothing,
+                 s.offset + s.width - s.smoothing, s.offset + s.width)
+        h = np.array([e + o for e in edges for o in offsets])
+        x, y = _point({s.direction: h, other: rng.random(h.size)})
+        xs.append(x)
+        ys.append(y)
+        homes.append(np.full(h.size, si))
+    return np.concatenate(xs), np.concatenate(ys), np.concatenate(homes)
+
+
+@pytest.mark.parametrize("name", ["N2", "N2-full-ramp", "smoothing-0"])
+def test_fast_path_at_band_and_ramp_edges(name):
+    if name == "smoothing-0":
+        scenario = build_scenario(2, 0.08, 32, 0.02, smoothing=0.0)
+    else:
+        scenario = build_scenario(hole_halfwidth=0.02, **SCENARIOS[name])
+    rng = np.random.default_rng(17)
+    offsets = [-1e-10, -1e-11, 0.0, 1e-11, 1e-10]
+    x0, y0, home = _edge_points(scenario, rng, offsets)
+    _assert_fast_path_exact(scenario, 4 * scenario.m, x0, y0, home,
+                            m_snapshot=scenario.m)
+
+
+def test_fast_path_d_home_at_own_ramp_edge():
+    scenario = build_scenario(2, 0.08, 32, 0.02)
+    rng = np.random.default_rng(19)
+    offsets = [-2e-9, -1e-9, -1e-12, -3e-16, -1e-16, 0.0, 1e-16, 3e-16,
+               1e-12, 1e-9, 2e-9]
+    x0, y0, home = _edge_points(scenario, rng, offsets)
+    d_home = np.array([scenario.strips[i].direction == "D" for i in home])
+    x0, y0, home = x0[d_home], y0[d_home], home[d_home]
+    # the well-inside ones are lone; the margin catches the rest
+    assert 0 < _lone_count(scenario, 4 * scenario.m, x0, y0, home) < x0.size
+    _assert_fast_path_exact(scenario, 4 * scenario.m, x0, y0, home,
+                            m_snapshot=scenario.m)
+
+
+def test_fast_path_home_ramp_without_the_point():
+    # points on one strip's ramp, or on no ramp, each given a home strip
+    # whose ramp does not hold them: of another direction, or of the same
+    # direction in another copy
+    scenario = build_scenario(2, 0.08, 32, 0.02)
+    rng = np.random.default_rng(23)
+    n_strips = len(scenario.strips)
+    xs, ys, homes = [], [], []
+    for si, strip in enumerate(scenario.strips):
+        for shift in (1, 3):
+            x, y = _ramp_points(strip, 25, 23 + shift, si)
+            xs.append(x)
+            ys.append(y)
+            homes.append(np.full(25, (si + shift) % n_strips))
+    x, y = rng.random(400), rng.random(400)
+    off_ramps = _home_strips(scenario, x, y) < 0
+    xs.append(x[off_ramps])
+    ys.append(y[off_ramps])
+    homes.append(rng.integers(0, n_strips, off_ramps.sum()))
+    x0, y0, home = np.concatenate(xs), np.concatenate(ys), np.concatenate(homes)
+    lone = batch._lone_orbits(scenario, scenario.tau, 4 * scenario.m,
+                              x0, y0, home)[0]
+    run = run_batch(scenario, scenario.tau, 4 * scenario.m, x0, y0, home=home)
+    assert (lone & ~run.moved).sum() >= off_ramps.sum() // 2
+    _assert_fast_path_exact(scenario, 4 * scenario.m, x0, y0, home,
+                            m_snapshot=scenario.m)
+
+
+def test_fast_path_far_lifts():
+    # the same torus points, lifted 2^20 and 2^44 cells away: the rounding
+    # of far coordinates exceeds the filter's margin, so they must be left
+    # to the full engine
+    scenario = build_scenario(1, 0.16, 16, 0.02)
+    x0, y0, home = _sample_batch(scenario, 100, seed=29)
+    for lift in (2.0 ** 20, 2.0 ** 44):
+        _assert_fast_path_exact(scenario, 64, x0 + lift, y0 - lift, home,
+                                m_snapshot=16)

@@ -70,6 +70,34 @@ def test_parse_errors():
     cfg = config_from_text("K = 10\nm = 16\n")
     with pytest.raises(ConfigError):
         cfg.K_for(cfg.m_for(1))  # 10 is not a multiple of 16
+    cfg = config_from_text("K = 20.4\nm = 4\n")
+    with pytest.raises(ConfigError):
+        cfg.K_for(cfg.m_for(1))  # 20.4 is not an integer
+
+
+@pytest.mark.parametrize("line", [
+    "pattern = ab BA", "phase_D = auto 0.3", "phase_D = 0.1 0.2",
+    "seed = 1 2", "samples_per_strip = 400 500", "hole_halfwidth = 0.02 0.03",
+    "ramp_fraction = 0.5 x"])
+def test_single_valued_keys_reject_extra_tokens(line):
+    with pytest.raises(ConfigError, match="takes one value"):
+        config_from_text(line + "\n")
+    key, value = (part.strip() for part in line.split("=", 1))
+    with pytest.raises(ConfigError, match="takes one value"):
+        config_from_json(json.dumps({key: value.split()}))
+    with pytest.raises(ConfigError, match="takes one value"):
+        config_from_json(json.dumps({key: []}))
+
+
+def test_multi_token_keys_keep_their_tokens():
+    cfg = config_from_text("N_list = 1 2 4\nT_rule = scaled 0.16\n"
+                           "m_rule = fixed 16\nK_rule = per_m 4\n"
+                           "output = my sweep.csv\n")
+    assert cfg.N_list == (1, 2, 4)
+    assert cfg.T_rule == ("scaled", 0.16)
+    assert cfg.m_rule == ("fixed", 16.0)
+    assert cfg.K_rule == ("per_m", 4.0)
+    assert cfg.output == "my sweep.csv"
 
 
 def test_load_config_by_suffix(tmp_path):
@@ -197,6 +225,9 @@ BROKEN = {
                         "invalid_config"),
     "seed_not_int": ("validate", "seed = 1.5", 2, "invalid_config"),
     "N_not_int": ("validate", "N_list = 1 x", 2, "invalid_config"),
+    "K_not_int": ("sweep", "K = 16.4", 2, "invalid_config"),
+    "pattern_two_tokens": ("validate", "pattern = ab BA", 2, "invalid_config"),
+    "seed_two_tokens": ("validate", "seed = 1 2", 2, "invalid_config"),
     "no_time_samples": ("sweep", "time_samples = 0", 2, "invalid_config"),
     "pattern_reduces_to_identity": ("sweep", "pattern = aA", 2,
                                     "invalid_config"),
