@@ -7,9 +7,10 @@ letters of a sample's word globally (the event arrays themselves come in
 no particular order).  Exact piecewise translations: no integration error.
 
 Given each sample's home strip, run_batch first picks out the lone orbits
-(samples that only ever sit on their home ramp) and moves them along
-their home direction alone; only the rest run through the full engine,
-which tests every sample against all 3N strips every step.
+(samples that only ever sit on their home ramp) and moves them along their
+home direction in the same pass; they trace one straight segment and emit
+no events.  Only the rest run through the full engine, which tests every
+sample against all 3N strips every step.
 """
 from __future__ import annotations
 
@@ -20,6 +21,9 @@ import numpy as np
 
 from .surface import (CUT_LINE_TOL, DIRECTION_VECTORS, DIRECTIONS, Scenario,
                       near_cut_line, transverse_lift)
+
+# the coordinates (0 = x, 1 = y) that a strip of each direction moves
+_AXES = {d: [i for i in (0, 1) if v[i]] for d, v in DIRECTION_VECTORS.items()}
 
 
 @dataclass
@@ -37,46 +41,48 @@ class BatchRun:
     applications_per_step: int
 
 
-class _EventSink:
-    def __init__(self):
-        self.sample: list[np.ndarray] = []
-        self.key: list[np.ndarray] = []
-        self.letter: list[np.ndarray] = []
-        self.degenerate_ids: list[np.ndarray] = []
+def _crossings(old, new):
+    """The moves old -> new that cross a cut line: their indices, the floors
+    of both ends, and a flag for a first or last crossing parameter within
+    CUT_LINE_TOL of 0 or 1, where the move starts or ends on the cut line
+    and the sample has no exact word."""
+    c0, c1 = np.floor(old), np.floor(new)
+    nz = np.nonzero(c0 != c1)[0]
+    lo, hi, o, span = c0[nz], c1[nz], old[nz], new[nz] - old[nz]
+    first = (np.where(hi > lo, lo + 1, lo) - o) / span
+    last = (np.where(hi > lo, hi, hi + 1) - o) / span
+    return nz, lo, hi, (first < CUT_LINE_TOL) | (last > 1.0 - CUT_LINE_TOL)
 
-    def emit_axis(self, ids, old, new, letter_code, seq):
+
+class _EventSink:
+    def __init__(self, degenerate: np.ndarray):
+        self.sample = [np.empty(0, dtype=np.int64)]
+        self.key = [np.empty(0)]
+        self.letter = [np.empty(0, dtype=np.int8)]
+        self.degenerate = degenerate
+
+    def emit_axis(self, ids, old, new, letter_code, seq: float):
         """Emit the cut-line crossings of the moves old -> new along one
-        axis; ``seq`` is the application's sequence number, one float or
-        one per sample."""
-        c0 = np.floor(old)
-        cnt = (np.floor(new) - c0).astype(np.int64)
-        nz = np.nonzero(cnt)[0]
+        axis under the application's sequence number ``seq``, and flag
+        the moves that start or end on a cut line."""
+        nz, c0, c1, at_end = _crossings(old, new)
         if nz.size == 0:
             return
-        counts = cnt[nz]
+        ids, old, new = ids[nz], old[nz], new[nz]
+        self.degenerate[ids[at_end]] = True
+        counts = (c1 - c0).astype(np.int64)
         for j in range(1, int(np.abs(counts).max()) + 1):
             sel = np.abs(counts) >= j
-            idx = nz[sel]
             up = counts[sel] > 0
-            k = np.where(up, c0[idx] + j, c0[idx] - (j - 1))
-            tpar = (k - old[idx]) / (new[idx] - old[idx])
-            # a crossing at a segment endpoint means the endpoint sits on a
-            # cut line: flag for the caller's nudge-and-retry
-            bad = (tpar < CUT_LINE_TOL) | (tpar > 1.0 - CUT_LINE_TOL)
-            if bad.any():
-                self.degenerate_ids.append(ids[idx[bad]])
-            self.sample.append(ids[idx])
-            self.key.append((seq if np.ndim(seq) == 0 else seq[idx]) + tpar)
+            k = np.where(up, c0[sel] + j, c0[sel] - (j - 1))
+            tpar = (k - old[sel]) / (new[sel] - old[sel])
+            self.sample.append(ids[sel])
+            self.key.append(seq + tpar)
             self.letter.append(
                 np.where(up, letter_code, -letter_code).astype(np.int8))
 
     def arrays(self):
-        if not self.sample:
-            return (np.empty(0, dtype=np.int64), np.empty(0),
-                    np.empty(0, dtype=np.int8))
-        return (np.concatenate(self.sample),
-                np.concatenate(self.key),
-                np.concatenate(self.letter))
+        return tuple(map(np.concatenate, (self.sample, self.key, self.letter)))
 
 
 def run_batch(scenario: Scenario, t: float, n_steps: int,
@@ -90,10 +96,11 @@ def run_batch(scenario: Scenario, t: float, n_steps: int,
     Samples whose lift is unchanged after the first step are exactly fixed
     forever and are dropped from the iteration (their flags stay put).
     With ``home``, the lone orbits are followed along their home strip
-    alone and only the other samples run through the full engine; the
-    result is the same bit for bit.  With ``collect``, ``degenerate``
-    flags every sample that has no exact word: a crossing at a segment
-    end, or an end point on a cut line.
+    alone and only the other samples run through the full engine; every
+    position and flag is the same bit for bit, but lone orbits emit no
+    crossing events.  With ``collect``, ``degenerate`` flags every sample
+    that has no exact word: a crossing at a segment end, or a start or end
+    point on a cut line.
     """
     n_strips = len(scenario.strips)
     x0 = np.asarray(x0, dtype=float)
@@ -109,13 +116,12 @@ def run_batch(scenario: Scenario, t: float, n_steps: int,
         degenerate=np.zeros(n, dtype=bool),
         event_sample=None, event_key=None, event_letter=None,
         applications_per_step=n_strips)
-    sink = _EventSink() if collect else None
+    sink = _EventSink(run.degenerate) if collect else None
 
     rest = np.arange(n, dtype=np.int64)
     if home is not None and n_steps > 0:
-        lone, groups = _lone_orbits(scenario, t, n_steps, x0, y0, home)
-        _follow_lone_orbits(groups, x0, y0, home, n_strips, n_steps, sink,
-                            snap, run)
+        lone = _lone_orbits(scenario, t, n_steps, x0, y0, home, snap,
+                            collect, run)
         rest = rest[~lone]
     _run_engine(scenario, t, n_steps, x0, y0, rest,
                 None if home is None else home[rest], sink, snap,
@@ -123,9 +129,8 @@ def run_batch(scenario: Scenario, t: float, n_steps: int,
 
     if collect:
         run.event_sample, run.event_key, run.event_letter = sink.arrays()
-        run.degenerate |= near_cut_line(run.x_end) | near_cut_line(run.y_end)
-        for bad_ids in sink.degenerate_ids:
-            run.degenerate[bad_ids] = True
+        for c in (x0, y0, run.x_end, run.y_end):
+            run.degenerate |= near_cut_line(c)
     return run
 
 
@@ -140,48 +145,41 @@ def _run_engine(scenario: Scenario, t: float, n_steps: int,
     """
     strips = scenario.strips
     n_strips = len(strips)
-    x, y = x0[ids], y0[ids]
+    xy = [x0[ids], y0[ids]]
     moved_live = np.zeros(ids.size, dtype=bool)
     foreign_live = np.zeros(ids.size, dtype=bool)
     # acting order: last listed strip acts first
-    acting = [(si, strips[si], DIRECTION_VECTORS[strips[si].direction])
+    acting = [(si, strips[si], _AXES[strips[si].direction])
               for si in reversed(range(n_strips))]
 
     for step in range(n_steps):
-        for pos, (si, strip, (vx, vy)) in enumerate(acting):
-            _, on_ramp, d = strip.shear(x, y, t)
+        for pos, (si, strip, axes) in enumerate(acting):
+            _, on_ramp, d = strip.shear(*xy, t)
             moved_live |= on_ramp
             if hm is not None:
                 foreign_live |= on_ramp & (hm != si)
             if not on_ramp.any():
                 continue
             seq = float(step * n_strips + pos)
-            if vx:
-                xn = x + d
+            for a in axes:
+                new = xy[a] + d
                 if sink is not None:
-                    sink.emit_axis(ids, x, xn, 1, seq)
-                x = xn
-            if vy:
-                yn = y + d
-                if sink is not None:
-                    sink.emit_axis(ids, y, yn, 2, seq)
-                y = yn
+                    sink.emit_axis(ids, xy[a], new, a + 1, seq)
+                xy[a] = new
 
         if step == 0 and compact_fixed and not moved_live.all():
             alive = moved_live
-            run.x_end[ids[~alive]] = x[~alive]
-            run.y_end[ids[~alive]] = y[~alive]
-            x, y, ids = x[alive], y[alive], ids[alive]
+            run.x_end[ids[~alive]], run.y_end[ids[~alive]] = (
+                c[~alive] for c in xy)
+            xy, ids = [c[alive] for c in xy], ids[alive]
             if hm is not None:
                 hm = hm[alive]
             moved_live = moved_live[alive]
             foreign_live = foreign_live[alive]
         if step == snap:
-            run.x_m[ids] = x
-            run.y_m[ids] = y
+            run.x_m[ids], run.y_m[ids] = xy
 
-    run.x_end[ids] = x
-    run.y_end[ids] = y
+    run.x_end[ids], run.y_end[ids] = xy
     run.moved[ids] = moved_live
     run.foreign[ids] = foreign_live
 
@@ -221,15 +219,17 @@ def _bins(direction: str, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _lone_orbits(scenario: Scenario, t: float, n_steps: int,
-                 x0: np.ndarray, y0: np.ndarray, home: np.ndarray):
-    """Pick out the samples that are lone orbits for n_steps steps.
+                 x0: np.ndarray, y0: np.ndarray, home: np.ndarray,
+                 snap: int, flag_ends: bool, run: BatchRun) -> np.ndarray:
+    """Pick out the samples that are lone orbits for n_steps steps, follow
+    them as their home strip's applications in the engine would, and write
+    their end points, snapshots and flags (``flag_ends``: also steps that
+    start or end on a cut line) into ``run``; return the lone mask.
 
     The test may over-flag (a lone orbit left to the full engine costs
     only time) but never under-flags: a sample called lone is on no ramp
     but its home strip's under the exact ``StripSpec.shear`` test at every
-    one of its n_steps + 1 positions.  Returns ``(lone, groups)``:
-    ``groups`` lists ``(direction, ids, shift)`` per home direction for the
-    lone orbits on their home ramp, with their displacement per step.
+    one of its n_steps + 1 positions.
     """
     strips = scenario.strips
     n = x0.size
@@ -260,82 +260,56 @@ def _lone_orbits(scenario: Scenario, t: float, n_steps: int,
     lone &= (n_steps + 2) * (reach + 2.0) * 2.0 ** -48 < _MARGIN
 
     busy = {d: owner != -1 for d, owner in owners.items()}
-    groups = []
     for code, direction in enumerate(DIRECTIONS):
         ids = np.nonzero(lone & (moving_family == code))[0]
-        vx, vy = DIRECTION_VECTORS[direction]
+        axes = _AXES[direction]
         others = [(o, busy[o]) for o in DIRECTIONS if o != direction]
-        x, y, d = x0[ids], y0[ids], shift[ids]
+        xy, d = [x0[ids], y0[ids]], shift[ids]
+        snapshot = list(xy)  # replaced at step snap
         hit = np.zeros(ids.size, dtype=bool)
-        for _ in range(n_steps):
+        ends = np.zeros(ids.size, dtype=bool)
+        for step in range(n_steps):
             if not ids.size:
                 break
-            if vx:
-                x = x + d
-            if vy:
-                y = y + d
+            for a in axes:
+                new = xy[a] + d
+                if flag_ends:
+                    nz, _, _, at_end = _crossings(xy[a], new)
+                    ends[nz[at_end]] = True
+                xy[a] = new
             for o, table in others:
-                hit |= table[_bins(o, x, y)]
-            if 4 * np.count_nonzero(hit) > hit.size:  # drop them in bulk
+                hit |= table[_bins(o, *xy)]
+            if step == snap:
+                snapshot = list(xy)
+            # drop the hit samples in bulk, and all that are left at the end
+            if 4 * np.count_nonzero(hit) > hit.size or step == n_steps - 1:
                 keep = ~hit
                 lone[ids[hit]] = False
-                ids, x, y, d = ids[keep], x[keep], y[keep], d[keep]
-                hit = np.zeros(ids.size, dtype=bool)
-        lone[ids[hit]] = False
-        if not hit.all():
-            groups.append((direction, ids[~hit], d[~hit]))
-    return lone, groups
-
-
-def _follow_lone_orbits(groups, x0, y0, home, n_strips: int, n_steps: int,
-                        sink: _EventSink | None, snap: int,
-                        run: BatchRun) -> None:
-    """Move each lone orbit by its shift once per step, as its home strip's
-    application does in the full engine, and emit the crossings under that
-    application's sequence number."""
-    for direction, ids, d in groups:
-        vx, vy = DIRECTION_VECTORS[direction]
+                ids, d, ends, hit = ids[keep], d[keep], ends[keep], hit[keep]
+                xy = [c[keep] for c in xy]
+                snapshot = [c[keep] for c in snapshot]
         run.moved[ids] = True
-        x, y = x0[ids], y0[ids]
-        pos = (n_strips - 1 - home[ids]).astype(float)  # home's acting slot
-        for step in range(n_steps):
-            seq = pos + float(step * n_strips)
-            if vx:
-                xn = x + d
-                if sink is not None:
-                    sink.emit_axis(ids, x, xn, 1, seq)
-                x = xn
-            if vy:
-                yn = y + d
-                if sink is not None:
-                    sink.emit_axis(ids, y, yn, 2, seq)
-                y = yn
-            if step == snap:
-                run.x_m[ids] = x
-                run.y_m[ids] = y
-        run.x_end[ids] = x
-        run.y_end[ids] = y
+        run.degenerate[ids] = ends
+        run.x_end[ids], run.y_end[ids] = xy
+        if snap >= 0:
+            run.x_m[ids], run.y_m[ids] = snapshot
+    return lone
 
 
 def assemble_words(run: BatchRun, n_samples: int,
-                   max_key: float | None = None,
                    only: np.ndarray | None = None) -> dict[int, tuple[int, ...]]:
     """Group crossing events into per-sample letter tuples, in path order.
 
-    ``max_key`` keeps events with key < max_key (e.g. the first m steps);
-    ``only`` restricts to the given sample indices.
+    ``only`` restricts to the given sample indices.  Lone orbits emit no
+    events, so their tuples are empty.
     """
     if run.event_sample is None:
         raise ValueError("batch was run without collect=True")
     s, k, letters = run.event_sample, run.event_key, run.event_letter
-    mask = None
-    if max_key is not None:
-        mask = k < max_key
     if only is not None:
         keep = np.zeros(n_samples, dtype=bool)
         keep[only] = True
-        mask = keep[s] if mask is None else (mask & keep[s])
-    if mask is not None:
+        mask = keep[s]
         s, k, letters = s[mask], k[mask], letters[mask]
     if s.size == 0:
         return {}

@@ -6,7 +6,8 @@ contributes nothing.  Points on several moving bands are weighted by one
 over their multiplicity, which makes the stratified sum an unbiased
 integral over the union.  Periodic points contribute the exact homogenized
 value of their period class; the rest contribute the finite-horizon
-quotient of their accumulated crossing word.
+quotient of their accumulated crossing word.  A sample that only its home
+strip moves reads its word off the segment it traces, the rest off events.
 """
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ from .counting import CountingQM, homogenized_tuple
 from .errors import ConfigError, DegenerateCrossing
 from .flow import flux_check, require_validity
 from .surface import (NUDGE, Scenario, StripSpec, closing_word,
-                      nudge_off_cut_lines)
+                      crossing_word, nudge_off_cut_lines)
 from .words import Word, cyclic_core, reduce_letters
 
 RETURN_TOL = 1e-9
@@ -121,6 +122,41 @@ def _canonical_class(core: tuple[int, ...]) -> str:
 # -- batch evaluation ------------------------------------------------------------
 
 
+def _kinds(run: batch.BatchRun, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The one classification: 0 = stationary (never moved), 1 = periodic
+    (moved by its home strip alone and back at its start after m steps),
+    2 = bad (every other moved sample)."""
+    kinds = np.where(run.moved, 2, 0)
+    if run.x_m is not None:
+        returned = batch.wrapped_return(run.x_m, run.y_m, x, y, RETURN_TOL)
+        kinds[returned & run.moved & ~run.foreign] = 1
+    return kinds
+
+
+def _windings(run: batch.BatchRun, x: np.ndarray, y: np.ndarray, idx):
+    """Per sample in ``idx``, the floor differences (fx, fy) between its
+    start and its step-m snapshot: its crossings in m steps, per axis."""
+    fx = (np.floor(run.x_m[idx]) - np.floor(x[idx])).astype(np.int64)
+    fy = (np.floor(run.y_m[idx]) - np.floor(y[idx])).astype(np.int64)
+    return list(zip(fx.tolist(), fy.tolist()))
+
+
+def _path_word(run: batch.BatchRun, x: np.ndarray, y: np.ndarray, i: int,
+               events: dict[int, tuple[int, ...]]) -> Word:
+    """K-step word of sample i: the crossing word of the segment it traces
+    if only its home strip moved it, else its reduced crossing events."""
+    if run.foreign[i]:
+        return Word(reduce_letters(events.get(i, ())), _reduced=True)
+    return crossing_word((float(x[i]), float(y[i])),
+                         (float(run.x_end[i]), float(run.y_end[i])))
+
+
+def _periodic_core(path: Word, winding: tuple[int, int]) -> tuple[int, ...]:
+    """Cyclic core of a periodic sample's m-step word: the first |fx| + |fy|
+    letters of its segment's word.  Its class depends on the winding alone."""
+    return cyclic_core(path.letters[:abs(winding[0]) + abs(winding[1])])
+
+
 def _evaluate_batch(scenario: Scenario, q: CountingQM, K: int,
                     x: np.ndarray, y: np.ndarray, home: np.ndarray):
     """Classify a batch and return per-sample values and class keys.
@@ -132,42 +168,31 @@ def _evaluate_batch(scenario: Scenario, q: CountingQM, K: int,
     pattern = q.pattern.letters
     run = batch.run_batch(scenario, scenario.tau, K, x, y,
                           home=home, collect=True, m_snapshot=m)
-    returned = batch.wrapped_return(run.x_m, run.y_m, x, y, RETURN_TOL)
-    periodic = returned & ~run.foreign & run.moved
-    bad = run.moved & ~periodic
+    kinds = _kinds(run, x, y)
     n = x.size
     values = np.zeros(n)
-    kinds = np.zeros(n, dtype=np.int64)
-    kinds[periodic] = 1
-    kinds[bad] = 2
     class_keys: dict[int, str] = {}
 
-    apps = run.applications_per_step
-    m_words = batch.assemble_words(run, n, max_key=float(m * apps),
-                                   only=np.nonzero(periodic)[0])
-    cache: dict[tuple[int, ...], tuple[str, float]] = {}
-    for i in np.nonzero(periodic)[0]:
-        core = cyclic_core(reduce_letters(m_words.get(int(i), ())))
-        hit = cache.get(core)
+    # flagged samples are re-run nudged: their values and keys are replaced
+    periodic = np.nonzero((kinds == 1) & ~run.degenerate)[0]
+    cache: dict[tuple[int, int], tuple[str, float]] = {}
+    for i, w in zip(periodic.tolist(), _windings(run, x, y, periodic)):
+        hit = cache.get(w)
         if hit is None:
-            hit = (_canonical_class(core), homogenized_tuple(pattern, core))
-            cache[core] = hit
-        class_keys[int(i)] = hit[0]
-        values[i] = hit[1] / m
+            core = _periodic_core(_path_word(run, x, y, i, {}), w)
+            hit = cache[w] = (_canonical_class(core),
+                              homogenized_tuple(pattern, core) / m)
+        class_keys[i], values[i] = hit
 
-    # flagged samples are re-run nudged: an end point on a cut line has no
-    # closing word
-    bad_idx = np.nonzero(bad & ~run.degenerate)[0]
-    if bad_idx.size:
-        full_words = batch.assemble_words(run, n, only=bad_idx)
-        hh = scenario.surface.hole_halfwidth
-        for i in bad_idx:
-            letters = list(full_words.get(int(i), ()))
-            end = (float(run.x_end[i]), float(run.y_end[i]))
-            start = (float(x[i]), float(y[i]))
-            close, _ = closing_word(end, start, hh)
-            letters.extend(close.letters)
-            values[i] = homogenized_tuple(pattern, reduce_letters(letters)) / K
+    bad = np.nonzero((kinds == 2) & ~run.degenerate)[0]
+    events = batch.assemble_words(run, n, only=bad[run.foreign[bad]])
+    hh = scenario.surface.hole_halfwidth
+    for i in bad.tolist():
+        start = (float(x[i]), float(y[i]))
+        end = (float(run.x_end[i]), float(run.y_end[i]))
+        close, _ = closing_word(end, start, hh)
+        word = _path_word(run, x, y, i, events) * close
+        values[i] = homogenized_tuple(pattern, word.letters) / K
     return values, kinds, class_keys, run.degenerate
 
 
@@ -273,8 +298,10 @@ def rho_estimate(scenario: Scenario, q: CountingQM, K: int | None = None,
         try:
             workers = int(raw)
         except ValueError:
+            workers = 0
+        if workers < 1:
             raise ConfigError(
-                f"STRIPFLOW_WORKERS must be an integer, got {raw!r}") from None
+                f"STRIPFLOW_WORKERS must be an integer >= 1, got {raw!r}")
 
     strips_per_chunk = max(1, _CHUNK_SAMPLES // max(samples_per_strip, 1))
     indices = list(range(len(scenario.strips)))
@@ -283,7 +310,9 @@ def rho_estimate(scenario: Scenario, q: CountingQM, K: int | None = None,
     tasks = [(scenario, q, K, chunk, samples_per_strip, seed)
              for chunk in chunks]
     if workers > 1 and len(tasks) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        # the fork start method starts all max_workers processes at once
+        with concurrent.futures.ProcessPoolExecutor(
+                max_workers=min(workers, len(tasks))) as pool:
             chunk_stats = list(pool.map(_chunk_task, tasks))
     else:
         chunk_stats = [_chunk_task(t) for t in tasks]
@@ -325,7 +354,7 @@ def iterate_word(scenario: Scenario, q: CountingQM, p: tuple[float, float],
         x, y = x0 + attempt * NUDGE, y0 + attempt * NUDGE
         run = batch.run_batch(scenario, scenario.tau, K, x, y,
                               home=_home_strips(scenario, x, y), collect=True,
-                              m_snapshot=min(m, K))
+                              m_snapshot=m)
         if not run.degenerate[0]:
             break
     else:
@@ -333,23 +362,16 @@ def iterate_word(scenario: Scenario, q: CountingQM, p: tuple[float, float],
 
     p = (float(x[0]), float(y[0]))
     end = (float(run.x_end[0]), float(run.y_end[0]))
-    letters = list(batch.assemble_words(run, 1).get(0, ()))
+    events = batch.assemble_words(run, 1) if run.foreign[0] else {}
+    path = _path_word(run, x, y, 0, events)
     close, _ = closing_word(end, p, scenario.surface.hole_halfwidth)
-    word = Word(tuple(letters) + close.letters)
-    if not run.moved[0]:
-        return TrajectoryRecord(start=p, end=end, iterates=K, word=word,
-                                kind="stationary")
-    returned = K >= m and bool(
-        batch.wrapped_return(run.x_m, run.y_m, x, y, RETURN_TOL)[0])
-    if returned and not run.foreign[0]:
-        m_letters = reduce_letters(
-            batch.assemble_words(
-                run, 1, max_key=float(m * run.applications_per_step)).get(0, ()))
-        core = cyclic_core(m_letters)
-        return TrajectoryRecord(start=p, end=end, iterates=K, word=word,
-                                kind="periodic", period=m,
-                                class_word=Word(core, _reduced=True))
-    return TrajectoryRecord(start=p, end=end, iterates=K, word=word, kind="bad")
+    record = dict(start=p, end=end, iterates=K, word=path * close)
+    kind = _kinds(run, x, y)[0]
+    if kind == 1:
+        core = _periodic_core(path, _windings(run, x, y, [0])[0])
+        record.update(period=m, class_word=Word(core, _reduced=True))
+    return TrajectoryRecord(**record,
+                            kind=("stationary", "periodic", "bad")[kind])
 
 
 def grid_estimate(scenario: Scenario, q: CountingQM, K: int | None = None,

@@ -12,13 +12,14 @@ the scalar reference the vectorized engine in ``batch`` is checked against;
 ``apply_composed_inverse`` runs the composition backwards.
 ``generator_value`` evaluates the composition's generating function through
 the pullback chain in the plane lift, which carries the winding bookkeeping
-for free.  The generator feeds ``hofer_upper_bound`` and ``calabi``, and
-``calabi_region_decomposition`` gives Calabi in closed form.  ``flux_check``
-and ``per_copy_flux`` (defined in ``surface``, which validates with it)
-certify that the composition is Hamiltonian.
+for free.  One pass of generator grids feeds ``hofer_upper_bound`` and
+``calabi``; ``calabi_region_decomposition`` gives Calabi in closed form.
+``flux_check`` and ``per_copy_flux`` (defined in ``surface``, which
+validates with it) certify that the composition is Hamiltonian.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -191,6 +192,20 @@ class HoferBound:
     oscillations: tuple[float, ...]
 
 
+@functools.lru_cache(maxsize=1)
+def _generator_series(scenario: Scenario, tau: float, time_samples: int,
+                      space_samples: int):
+    """Per midpoint time node, the oscillation and the mean of the generator
+    on one space grid; the sweep asks for both in turn, so the last is kept."""
+    oscs, means = [], []
+    for i in range(time_samples):
+        g = _generator_grid(scenario, (i + 0.5) / time_samples * tau,
+                            space_samples)
+        oscs.append(float(g.max() - g.min()))
+        means.append(float(g.mean()))
+    return tuple(oscs), tuple(means)
+
+
 def hofer_upper_bound(scenario: Scenario, tau: float, time_samples: int = 8,
                       space_samples: int = 400) -> HoferBound:
     """Riemann estimate of the Hofer length of {Phi^t, t <= tau}.
@@ -202,17 +217,13 @@ def hofer_upper_bound(scenario: Scenario, tau: float, time_samples: int = 8,
     require_validity(scenario, tau)
     if not scenario.strips:
         return HoferBound(0.0, 0.0, 0.0, ())
-    oscs = []
-    for i in range(time_samples):
-        t = (i + 0.5) / time_samples * tau
-        g = _generator_grid(scenario, t, space_samples)
-        oscs.append(float(g.max() - g.min()))
+    oscs = _generator_series(scenario, tau, time_samples, space_samples)[0]
     k = copy_oscillation_bound(scenario)
     return HoferBound(
         numeric=tau * float(np.mean(oscs)),
         analytic=2.0 * k * tau,
         oscillation_bound=k,
-        oscillations=tuple(oscs),
+        oscillations=oscs,
     )
 
 
@@ -226,10 +237,7 @@ def calabi(scenario: Scenario, tau: float, time_samples: int = 8,
     require_validity(scenario, tau)
     if not scenario.strips:
         return 0.0
-    means = []
-    for i in range(time_samples):
-        t = (i + 0.5) / time_samples * tau
-        means.append(float(_generator_grid(scenario, t, space_samples).mean()))
+    means = _generator_series(scenario, tau, time_samples, space_samples)[1]
     return tau * float(np.mean(means))
 
 

@@ -14,7 +14,7 @@ from .config import ExperimentConfig
 from .counting import (CountingQM, estimate_defect, homogenize_oracle,
                        homogenized)
 from .surface import (Scenario, _segment_hits_hole, crossing_word,
-                      segment_crossings)
+                      near_cut_line, segment_crossings)
 from .words import Word
 
 _GENS = (1, -1, 2, -2)
@@ -128,7 +128,7 @@ def random_null_homotopic_loop(rng, hole_halfwidth):
         segs = list(zip(pts, pts[1:]))
         if any(_segment_hits_hole(a, b, hole_halfwidth) for a, b in segs):
             continue
-        if any(abs(c - round(c)) < 1e-9 for p in pts for c in p):
+        if any(near_cut_line(c) for p in pts for c in p):
             continue
         xs = [p[0] for p in pts]
         ys = [p[1] for p in pts]
@@ -160,7 +160,7 @@ def prop_crossing_abelianization(rng, config):
     for _ in range(200):
         p = (rng.uniform(0.05, 0.95), rng.uniform(0.05, 0.95))
         q = (p[0] + rng.uniform(-3, 3), p[1] + rng.uniform(-3, 3))
-        if abs(q[0] - round(q[0])) < 1e-9 or abs(q[1] - round(q[1])) < 1e-9:
+        if near_cut_line(q[0]) or near_cut_line(q[1]):
             continue
         events = segment_crossings(p, q)
         ab_a = sum(1 if letter == 1 else -1 for _, letter in events if abs(letter) == 1)

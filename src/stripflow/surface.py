@@ -35,8 +35,6 @@ from .words import Word
 
 DIRECTIONS = ("H", "V", "D")
 DIRECTION_VECTORS = {"H": (1.0, 0.0), "V": (0.0, 1.0), "D": (1.0, 1.0)}
-CLASS_WORDS = {"H": Word.from_text("a"), "V": Word.from_text("b"),
-               "D": Word.from_text("ab")}
 # Hole clearance required of the transverse band, in units of hole_halfwidth:
 # the hole projects to |y| < hh, |x| < hh and |x - y| < 2 hh.
 HOLE_CLEARANCE = {"H": 1.0, "V": 1.0, "D": 2.0}
@@ -104,10 +102,6 @@ class StripSpec:
             raise ValueError("width must lie in (0, 1)")
         if self.smoothing < 0.0 or 2.0 * self.smoothing >= self.width:
             raise ValueError("need 0 <= 2*smoothing < width")
-
-    @property
-    def class_word(self) -> Word:
-        return CLASS_WORDS[self.direction]
 
     @property
     def ramp_width(self) -> float:

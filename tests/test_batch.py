@@ -1,13 +1,19 @@
 """The vectorized engine checked against the scalar reference maps."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from stripflow import batch
+from stripflow import batch, estimator
 from stripflow.batch import assemble_words, run_batch, wrapped_return
-from stripflow.estimator import RETURN_TOL, _home_strips, _ramp_points
+from stripflow.counting import CountingQM, homogenized_tuple
+from stripflow.estimator import (RETURN_TOL, _home_strips, _ramp_points,
+                                 iterate_word)
 from stripflow.flow import apply_composed
-from stripflow.surface import build_scenario, crossing_word
-from stripflow.words import Word
+from stripflow.surface import build_scenario, crossing_word, near_cut_line
+from stripflow.words import Word, cyclic_core, reduce_letters
+
+AB = CountingQM.from_text("ab")
 
 SCENARIOS = {
     "N1": dict(N=1, T=0.16, m=16),
@@ -82,11 +88,23 @@ def test_run_batch_flags_end_point_on_cut_line():
     assert run.degenerate[0]
 
 
+def test_run_batch_flags_start_on_cut_line():
+    # an H orbit that starts 5e-13 past x = 1 and moves away from it never
+    # crosses it, but its segment has no exact crossing word either
+    scenario = build_scenario(1, 0.16, 16, 0.02)
+    x0, y0 = np.array([1.0 + 5e-13, 0.6]), np.array([0.39, 0.39])
+    run, lone = _fast_run(scenario, scenario.tau, 1, x0, y0,
+                          home=np.array([0, 0]), collect=True)
+    assert lone.all() and run.moved.all()
+    assert not near_cut_line(run.x_end).any()
+    assert run.degenerate.tolist() == [True, False]
+
+
 # -- the lone-orbit fast path against the full engine ----------------------------
 
 
-def _no_lone_orbits(scenario, t, n_steps, x0, y0, home):
-    return np.zeros(x0.size, bool), []
+def _no_lone_orbits(scenario, t, n_steps, x0, y0, *rest):
+    return np.zeros(x0.size, bool)
 
 
 def _full_engine(*args, **kwargs):
@@ -97,18 +115,73 @@ def _full_engine(*args, **kwargs):
         return run_batch(*args, **kwargs)
 
 
+def _fast_run(*args, **kwargs):
+    """run_batch, and the mask of the samples its lone-orbit filter
+    followed (none if the filter did not run)."""
+    seen = []
+
+    def spy(*a, **k):
+        seen.append(real(*a, **k))
+        return seen[-1]
+
+    real = batch._lone_orbits
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(batch, "_lone_orbits", spy)
+        run = run_batch(*args, **kwargs)
+    return run, seen[0] if seen else np.zeros(run.moved.size, bool)
+
+
 def _same_bits(a, b):
     if a is None or b is None:
         return a is None and b is None
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def _events(run):
-    """Crossing events in one canonical order; the two paths emit them in
-    different orders, which assemble_words does not depend on."""
-    order = np.lexsort((run.event_letter, run.event_key, run.event_sample))
-    return (run.event_sample[order], run.event_key[order],
-            run.event_letter[order])
+def _events(run, keep=None):
+    """Crossing events in one canonical order, optionally only those of the
+    samples in the mask ``keep``; the two paths emit them in different
+    orders, which assemble_words does not depend on."""
+    s, k, letters = run.event_sample, run.event_key, run.event_letter
+    if keep is not None:
+        sel = keep[s]
+        s, k, letters = s[sel], k[sel], letters[sel]
+    order = np.lexsort((letters, k, s))
+    return s[order], k[order], letters[order]
+
+
+def _event_words(run, n, max_key=None):
+    """Reduced per-sample words from the crossing events, optionally only
+    the events keyed below ``max_key`` (the first steps)."""
+    sample, key, letter = run.event_sample, run.event_key, run.event_letter
+    if max_key is not None:
+        sel = key < max_key
+        run = replace(run, event_sample=sample[sel], event_key=key[sel],
+                      event_letter=letter[sel])
+    words = assemble_words(run, n)
+    return [reduce_letters(words.get(i, ())) for i in range(n)]
+
+
+def _assert_estimator_words_exact(scenario, fast, full, x0, y0, m):
+    """Every moved non-foreign sample: the word the estimator reads off its
+    segment, and a periodic one's m-step core, equal the full engine's
+    reduced event words; periodic classes depend on the winding alone."""
+    n = x0.size
+    kinds = estimator._kinds(fast, x0, y0)
+    assert (kinds == estimator._kinds(full, x0, y0)).all()
+    k_words = _event_words(full, n)
+    m_words = _event_words(full, n,
+                           max_key=float(m * full.applications_per_step))
+    classes = {}
+    moved = np.nonzero(fast.moved & ~fast.foreign & ~fast.degenerate)[0]
+    windings = estimator._windings(fast, x0, y0, moved)
+    for i, w in zip(moved.tolist(), windings):
+        path = estimator._path_word(fast, x0, y0, i, {})
+        assert path.letters == k_words[i]
+        if kinds[i] == 1:
+            core = estimator._periodic_core(path, w)
+            assert core == cyclic_core(m_words[i])
+            key = estimator._canonical_class(core)
+            assert classes.setdefault(w, key) == key
 
 
 def _assert_fast_path_exact(scenario, n_steps, x0, y0, home, m_snapshot=None,
@@ -116,7 +189,7 @@ def _assert_fast_path_exact(scenario, n_steps, x0, y0, home, m_snapshot=None,
     args = (scenario, scenario.tau, n_steps, x0, y0)
     kwargs = dict(home=home, collect=collect, m_snapshot=m_snapshot,
                   compact_fixed=compact_fixed)
-    fast = run_batch(*args, **kwargs)
+    fast, lone = _fast_run(*args, **kwargs)
     full = _full_engine(*args, **kwargs)
     for field in ("x_end", "y_end", "x_m", "y_m", "moved", "foreign",
                   "degenerate"):
@@ -125,19 +198,16 @@ def _assert_fast_path_exact(scenario, n_steps, x0, y0, home, m_snapshot=None,
     if not collect:
         assert fast.event_sample is None and full.event_sample is None
         return
-    for a, b in zip(_events(fast), _events(full)):
+    # lone orbits emit nothing; the engine's samples emit as before
+    for a, b in zip(_events(fast), _events(full, keep=~lone)):
         assert _same_bits(a, b)
-    n = x0.size
-    assert assemble_words(fast, n) == assemble_words(full, n)
-    if m_snapshot is not None:
-        max_key = float(m_snapshot * fast.applications_per_step)
-        assert (assemble_words(fast, n, max_key=max_key)
-                == assemble_words(full, n, max_key=max_key))
+    if m_snapshot is not None and 1 <= m_snapshot <= n_steps:
+        _assert_estimator_words_exact(scenario, fast, full, x0, y0, m_snapshot)
 
 
 def _lone_count(scenario, n_steps, x0, y0, home):
-    lone = batch._lone_orbits(scenario, scenario.tau, n_steps, x0, y0, home)[0]
-    return int(lone.sum())
+    return int(_fast_run(scenario, scenario.tau, n_steps, x0, y0,
+                         home=home)[1].sum())
 
 
 def _sample_batch(scenario, n, seed):
@@ -192,9 +262,8 @@ def test_fast_path_lone_orbits_that_do_not_return():
     scenario = build_scenario(1, 0.16, 4, 0.02, ramp_fraction=0.3)
     m = scenario.m
     x0, y0, home = _sample_batch(scenario, 400, seed=13)
-    lone = batch._lone_orbits(scenario, scenario.tau, m, x0, y0, home)[0]
-    run = run_batch(scenario, scenario.tau, m, x0, y0, home=home,
-                    collect=True, m_snapshot=m)
+    run, lone = _fast_run(scenario, scenario.tau, m, x0, y0, home=home,
+                          collect=True, m_snapshot=m)
     returned = wrapped_return(run.x_m, run.y_m, x0, y0, RETURN_TOL)
     assert (lone & run.moved & ~returned).sum() > 100
     _assert_fast_path_exact(scenario, m, x0, y0, home, m_snapshot=m)
@@ -263,9 +332,8 @@ def test_fast_path_home_ramp_without_the_point():
     ys.append(y[off_ramps])
     homes.append(rng.integers(0, n_strips, off_ramps.sum()))
     x0, y0, home = np.concatenate(xs), np.concatenate(ys), np.concatenate(homes)
-    lone = batch._lone_orbits(scenario, scenario.tau, 4 * scenario.m,
-                              x0, y0, home)[0]
-    run = run_batch(scenario, scenario.tau, 4 * scenario.m, x0, y0, home=home)
+    run, lone = _fast_run(scenario, scenario.tau, 4 * scenario.m, x0, y0,
+                          home=home)
     assert (lone & ~run.moved).sum() >= off_ramps.sum() // 2
     _assert_fast_path_exact(scenario, 4 * scenario.m, x0, y0, home,
                             m_snapshot=scenario.m)
@@ -280,3 +348,124 @@ def test_fast_path_far_lifts():
     for lift in (2.0 ** 20, 2.0 ** 44):
         _assert_fast_path_exact(scenario, 64, x0 + lift, y0 - lift, home,
                                 m_snapshot=16)
+
+
+def test_lone_step_onto_cut_line_is_flagged():
+    # at N = 1 with the default layout the H ramp moves (0.5, 0.39) by
+    # about 0.5 per step: the first step ends on x = 1 to within rounding,
+    # so its crossing parameter is 1 and both paths flag the lone orbit,
+    # though neither end point lies on a cut line
+    scenario = build_scenario(1, 0.16, 16, 0.02)
+    x0, y0, home = np.array([0.5]), np.array([0.39]), np.array([0])
+    assert scenario.strips[0].direction == "H"
+    run, lone = _fast_run(scenario, scenario.tau, 2, x0, y0, home=home,
+                          collect=True)
+    assert lone[0] and abs(run.x_end[0] - 1.5) < 1e-12
+    assert not near_cut_line(run.x_end[0])
+    assert run.degenerate[0]
+    _assert_fast_path_exact(scenario, 2, x0, y0, home)
+
+
+def _event_oracle(scenario, q, K, x, y, home):
+    """The estimator's values, kinds and class keys computed from the full
+    engine's crossing events alone, one sample at a time."""
+    m = scenario.m
+    pattern = q.pattern.letters
+    run = _full_engine(scenario, scenario.tau, K, x, y, home=home,
+                       collect=True, m_snapshot=m)
+    n = x.size
+    returned = wrapped_return(run.x_m, run.y_m, x, y, RETURN_TOL)
+    periodic = returned & ~run.foreign & run.moved
+    kinds = np.where(run.moved, 2, 0)
+    kinds[periodic] = 1
+    values = np.zeros(n)
+    keys = {}
+    m_words = _event_words(run, n,
+                           max_key=float(m * run.applications_per_step))
+    k_words = _event_words(run, n)
+    # flagged samples are re-run, so the estimator skips them
+    for i in np.nonzero(periodic & ~run.degenerate)[0].tolist():
+        core = cyclic_core(m_words[i])
+        keys[i] = estimator._canonical_class(core)
+        values[i] = homogenized_tuple(pattern, core) / m
+    hh = scenario.surface.hole_halfwidth
+    for i in np.nonzero(~periodic & run.moved & ~run.degenerate)[0].tolist():
+        start, end = (float(x[i]), float(y[i])), (float(run.x_end[i]),
+                                                  float(run.y_end[i]))
+        close, _ = estimator.closing_word(end, start, hh)
+        values[i] = homogenized_tuple(
+            pattern, reduce_letters(k_words[i] + close.letters)) / K
+    return values, kinds, keys, run.degenerate
+
+
+# at ramp_fraction 0.3 and m = 4 most lone orbits do not return (see
+# test_fast_path_lone_orbits_that_do_not_return)
+@pytest.mark.parametrize("N,m,ramp_fraction", [(1, 16, 0.125), (2, 32, 0.125),
+                                               (1, 4, 0.3), (2, 32, 1.0)])
+def test_evaluate_batch_matches_event_words(N, m, ramp_fraction, monkeypatch):
+    scenario = build_scenario(N, 0.16 / N, m, 0.02,
+                              ramp_fraction=ramp_fraction)
+    K = 2 * scenario.m
+    x0, y0, home = _sample_batch(scenario, 150, seed=31 + N)
+    expected = _event_oracle(scenario, AB, K, x0, y0, home)
+
+    runs, assembled, reduced = [], [], []
+    real_run, real_assemble = batch.run_batch, batch.assemble_words
+    real_reduce = estimator.reduce_letters
+
+    def spy_run(*args, **kwargs):
+        runs.append(real_run(*args, **kwargs))
+        return runs[-1]
+
+    def spy_assemble(run, n, only=None):
+        assembled.append(only)
+        return real_assemble(run, n, only=only)
+
+    def spy_reduce(raw):
+        reduced.append(raw)
+        return real_reduce(raw)
+
+    monkeypatch.setattr(batch, "run_batch", spy_run)
+    monkeypatch.setattr(batch, "assemble_words", spy_assemble)
+    monkeypatch.setattr(estimator, "reduce_letters", spy_reduce)
+    values, kinds, keys, degenerate = estimator._evaluate_batch(
+        scenario, AB, K, x0, y0, home)
+    assert _same_bits(values, expected[0])
+    assert (kinds == expected[1]).all()
+    assert list(keys.items()) == list(expected[2].items())
+    assert _same_bits(degenerate, expected[3])
+    # only the samples a foreign strip moved read their crossing events
+    foreign = runs[0].foreign
+    assert all(foreign[only].all() for only in assembled)
+    assert len(reduced) == int((foreign & (kinds == 2) & ~degenerate).sum())
+    non_foreign = ~foreign & (kinds > 0)
+    if ramp_fraction == 1.0:  # every moved sample meets a foreign ramp
+        assert not non_foreign.any() and reduced
+    else:
+        assert non_foreign.sum() > x0.size // 2
+
+
+def _iterate_points(scenario, seed):
+    """Estimator samples (lone or not), points on two ramps and points on
+    no ramp."""
+    x0, y0, _ = _sample_batch(scenario, 12, seed)
+    rng = np.random.default_rng(seed)
+    return [(float(a), float(b)) for a, b in zip(x0, y0)] + \
+        [tuple(p) for p in rng.random((5, 2)).tolist()]
+
+
+@pytest.mark.parametrize("N,m,ramp_fraction", [(1, 16, 0.125), (2, 32, 0.125),
+                                               (1, 4, 0.3)])
+def test_iterate_word_matches_full_engine(N, m, ramp_fraction):
+    scenario = build_scenario(N, 0.16 / N, m, 0.02,
+                              ramp_fraction=ramp_fraction)
+    kinds = set()
+    for K in (scenario.m // 2, 2 * scenario.m):
+        for p in _iterate_points(scenario, seed=37 + N):
+            rec = iterate_word(scenario, AB, p, K)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(batch, "_lone_orbits", _no_lone_orbits)
+                assert iterate_word(scenario, AB, p, K) == rec
+            kinds.add(rec.kind)
+    assert kinds == ({"stationary", "bad"} if ramp_fraction == 0.3
+                     else {"stationary", "periodic", "bad"})

@@ -177,6 +177,16 @@ def test_cli_props_filter(tmp_path, capsys):
     assert "PASS word_algebra" in out
 
 
+@pytest.mark.parametrize("raw", ["0", "-1"])
+def test_cli_workers_below_one_exit_code(raw, tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("STRIPFLOW_WORKERS", raw)
+    p = _write_tiny(tmp_path, output=str(tmp_path / "sweep.csv"))
+    assert main(["sweep", str(p)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0])["error"] == "invalid_config"
+
+
 def test_cli_non_integer_workers_exit_code(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("STRIPFLOW_WORKERS", "two")
     p = _write_tiny(tmp_path, output=str(tmp_path / "sweep.csv"))

@@ -4,7 +4,8 @@ import pytest
 
 from stripflow import batch, estimator
 from stripflow.counting import CountingQM, estimate_defect, homogenized
-from stripflow.errors import DegenerateCrossing, ValidityWindowExceeded
+from stripflow.errors import (ConfigError, DegenerateCrossing,
+                              ValidityWindowExceeded)
 from stripflow.estimator import (NUDGE_RETRIES, RhoEstimate, deficiency,
                                  grid_estimate, iterate_word, rho_estimate,
                                  rho_predicted)
@@ -263,3 +264,41 @@ def test_rho_estimate_independent_of_workers(monkeypatch):
     one = rho_estimate(s, AB, samples_per_strip=200, seed=9, workers=1)
     two = rho_estimate(s, AB, samples_per_strip=200, seed=9, workers=2)
     assert one == two
+
+
+class _SerialPool:
+    """Stand-in for ProcessPoolExecutor: records max_workers, starts no
+    process and maps the tasks in this process."""
+    seen: list[int] = []
+
+    def __init__(self, max_workers):
+        self.seen.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+def test_rho_estimate_starts_no_more_workers_than_chunks(monkeypatch):
+    monkeypatch.setattr(estimator, "_CHUNK_SAMPLES", 400)  # 2 strips a chunk
+    monkeypatch.setattr(estimator.concurrent.futures, "ProcessPoolExecutor",
+                        _SerialPool)
+    monkeypatch.setattr(_SerialPool, "seen", [])
+    monkeypatch.setenv("STRIPFLOW_WORKERS", "1000")
+    s = _scenario(N=2, T=0.08, m=32)  # 6 strips: 3 chunks
+    many = rho_estimate(s, AB, samples_per_strip=200, seed=9)
+    assert _SerialPool.seen == [3]
+    assert many == rho_estimate(s, AB, samples_per_strip=200, seed=9,
+                                workers=1)
+
+
+@pytest.mark.parametrize("raw", ["0", "-2", "two"])
+def test_rho_estimate_rejects_bad_worker_counts(raw, monkeypatch):
+    monkeypatch.setenv("STRIPFLOW_WORKERS", raw)
+    with pytest.raises(ConfigError):
+        rho_estimate(_scenario(), AB, samples_per_strip=10)

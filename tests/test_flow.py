@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from stripflow import flow
 from stripflow.errors import ValidityWindowExceeded
 from stripflow.flow import (HoferBound, Profile, apply_composed,
                             apply_composed_inverse, apply_strip, calabi,
@@ -168,6 +169,28 @@ def test_hofer_bound_stable_under_doubling_N():
     ba = hofer_upper_bound(a, a.tau, time_samples=4, space_samples=250)
     bb = hofer_upper_bound(b, b.tau, time_samples=4, space_samples=250)
     assert ba.numeric / a.tau == pytest.approx(bb.numeric / b.tau, rel=0.05)
+
+
+def test_hofer_and_calabi_share_one_generator_pass(monkeypatch):
+    calls = []
+
+    def counted(scenario, t, n):
+        calls.append(t)
+        return _generator_grid(scenario, t, n)
+
+    monkeypatch.setattr(flow, "_generator_grid", counted)
+    flow._generator_series.cache_clear()
+    s = _scenario()
+    bound = hofer_upper_bound(s, s.tau, time_samples=4, space_samples=120)
+    cal = calabi(s, s.tau, time_samples=4, space_samples=120)
+    assert len(calls) == 4
+    # the same numbers as one grid per node computed afresh
+    grids = [_generator_grid(s, t, 120) for t in calls]
+    assert bound.oscillations == tuple(float(g.max() - g.min()) for g in grids)
+    assert cal == s.tau * float(np.mean([float(g.mean()) for g in grids]))
+    # other arguments compute a new series
+    calabi(s, s.tau, time_samples=2, space_samples=120)
+    assert len(calls) == 6
 
 
 def test_zero_strip_scenario():
