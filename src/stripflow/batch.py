@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .surface import (CUT_LINE_TOL, DIRECTION_VECTORS, DIRECTIONS, Scenario,
-                      near_cut_line, transverse_lift)
+                      frac, near_cut_line, transverse_lift)
 
 # the coordinates (0 = x, 1 = y) that a strip of each direction moves
 _AXES = {d: [i for i in (0, 1) if v[i]] for d, v in DIRECTION_VECTORS.items()}
@@ -242,7 +242,7 @@ def _lone_orbits(scenario: Scenario, t: float, n_steps: int,
         if idx.size == 0:
             continue
         s, on_ramp, d = strip.shear(x0[idx], y0[idx], t)
-        h = s % 1.0
+        h = frac(s)
         # a moving orbit must stay on its home ramp while x - y drifts
         inside = ((strip.smoothing + _MARGIN < h)
                   & (h < strip.width - strip.smoothing - _MARGIN))
@@ -326,6 +326,6 @@ def assemble_words(run: BatchRun, n_samples: int,
 
 def wrapped_return(x_m, y_m, x0, y0, tol: float) -> np.ndarray:
     """Torus-wrapped m-step return test."""
-    dx = np.abs(((x_m - x0) + 0.5) % 1.0 - 0.5)
-    dy = np.abs(((y_m - y0) + 0.5) % 1.0 - 0.5)
+    dx = np.abs(frac((x_m - x0) + 0.5) - 0.5)
+    dy = np.abs(frac((y_m - y0) + 0.5) - 0.5)
     return (dx < tol) & (dy < tol)

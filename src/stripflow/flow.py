@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ValidityWindowExceeded
 from .surface import (DIRECTION_VECTORS, Scenario, StripSpec,  # noqa: F401
-                      per_copy_flux)
+                      frac, per_copy_flux)
 
 # Sign of each strip's contribution to the generating function: the strip
 # Hamiltonian is +sigma*c(h) for H strips and -sigma*c(h) for V and D strips
@@ -117,9 +117,8 @@ def apply_composed_inverse(scenario: Scenario, t: float, p: tuple[float, float])
 
 def _profile_lift(strip: StripSpec, s):
     """C~(s): the profile read on the transverse line, lifted (period 1 -> +1)."""
-    base = np.floor(s)
-    rel = s - base
-    return base + np.clip((rel - strip.smoothing) / strip.ramp_width, 0.0, 1.0)
+    return np.floor(s) + np.clip((frac(s) - strip.smoothing) / strip.ramp_width,
+                                 0.0, 1.0)
 
 
 def _generator_on_arrays(scenario: Scenario, t: float, x, y):

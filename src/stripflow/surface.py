@@ -59,6 +59,21 @@ DEFAULT_PHASE_V = 0.31 + PHASE_EPS
 AUTO = "auto"
 
 
+def frac(c):
+    """c mod 1, as ``c - floor(c)``, on floats and numpy arrays alike.
+
+    The one reduction mod 1.  It equals ``c % 1.0`` (Python's or numpy's)
+    bit for bit: -0.0 maps to 0.0, a negative c just below an integer whose
+    exact remainder rounds up gives 1.0, and a non-finite c gives nan.  On
+    arrays it is several times faster than numpy's ``%``; a float stays a
+    Python float and, like ``%``, a non-finite one raises no warning.
+    """
+    if isinstance(c, np.ndarray):
+        return c - np.floor(c)
+    # np.floor, unlike math.floor, keeps the sign of -0.0
+    return c - float(np.floor(c)) if math.isfinite(c) else math.nan
+
+
 def transverse_lift(direction: str, x, y):
     """Transverse coordinate of a direction in the plane lift: y (H), x (V)
     or x - y (D).  Works on floats and numpy arrays alike."""
@@ -111,19 +126,19 @@ class StripSpec:
         """The strip kernel, on floats or numpy arrays alike.
 
         Returns ``(s, on_ramp, shift)``: the transverse coordinate ``s``
-        relative to the band start in the plane lift (``s % 1.0`` is the
+        relative to the band start in the plane lift (``frac(s)`` is the
         chart coordinate ``h``), the ramp test ``smoothing < h < width -
         smoothing``, and the along-strip displacement of the time-t map,
         ``orientation * t / ramp_width`` on the ramp and 0 off it.
         """
         s = transverse_lift(self.direction, x, y) - self.offset
-        h = s % 1.0
+        h = frac(s)
         on_ramp = (self.smoothing < h) & (h < self.width - self.smoothing)
         return s, on_ramp, on_ramp * (self.orientation * t / self.ramp_width)
 
     def transverse(self, x: float, y: float) -> float:
         """Transverse chart coordinate relative to the band start, mod 1."""
-        return self.shear(x, y, 0.0)[0] % 1.0
+        return frac(self.shear(x, y, 0.0)[0])
 
     def contains(self, x: float, y: float) -> bool:
         return self.transverse(x, y) < self.width
@@ -162,8 +177,8 @@ class Scenario:
 
 def _interval_intersects_mod1(a0: float, alen: float, b0: float, blen: float) -> bool:
     """Do the open intervals (a0, a0+alen) and (b0, b0+blen) meet on R/Z?"""
-    a0 %= 1.0
-    b0 %= 1.0
+    a0 = frac(a0)
+    b0 = frac(b0)
     for shift in (-1.0, 0.0, 1.0):
         lo = max(a0, b0 + shift)
         hi = min(a0 + alen, b0 + shift + blen)
@@ -220,7 +235,8 @@ def _min_circular_gap(windows: list[tuple[float, float]]) -> float:
     if not windows:
         return 1.0
     # merge, then measure gaps between consecutive merged windows
-    spans = sorted(((s % 1.0, (s % 1.0) + ln) for s, ln in windows))
+    spans = sorted((lo, lo + ln) for lo, ln in
+                   ((frac(s), ln) for s, ln in windows))
     merged: list[list[float]] = []
     for lo, hi in spans:
         if merged and lo <= merged[-1][1]:
@@ -312,7 +328,7 @@ def per_copy_flux(scenario: Scenario) -> dict[int, tuple[float, float]]:
 
 
 def _grid_offsets(phase: float, n: int) -> list[float]:
-    return [(phase + i / n) % 1.0 for i in range(n)]
+    return [frac(phase + i / n) for i in range(n)]
 
 
 def _offsets_feasible(offsets: Iterable[float], width: float,
@@ -391,7 +407,7 @@ def build_scenario(N: int, T: float, m: int, hole_halfwidth: float,
         for direction, orientation in (("H", 1), ("V", 1), ("D", -1)):
             strips.append(StripSpec(
                 direction=direction,
-                offset=float(offsets[direction][i]) % 1.0,
+                offset=frac(float(offsets[direction][i])),
                 width=T,
                 orientation=orientation,
                 smoothing=smoothing,
@@ -495,8 +511,8 @@ def closing_word(end: tuple[float, float], start: tuple[float, float],
     deterministic waypoint candidates (the +x side first).  Returns the
     crossing word together with the lifted segment chain.
     """
-    dx = ((start[0] - end[0]) + 0.5) % 1.0 - 0.5
-    dy = ((start[1] - end[1]) + 0.5) % 1.0 - 0.5
+    dx = frac((start[0] - end[0]) + 0.5) - 0.5
+    dy = frac((start[1] - end[1]) + 0.5) - 0.5
     target = (end[0] + dx, end[1] + dy)
     if dx == 0.0 and dy == 0.0:
         return Word(), []

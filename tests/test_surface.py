@@ -7,7 +7,7 @@ import pytest
 
 from stripflow.errors import DegenerateCrossing, InfeasibleScenario
 from stripflow.surface import (HoledTorus, Scenario, StripSpec, build_scenario,
-                               closing_word, crossing_word,
+                               closing_word, crossing_word, frac,
                                nudge_off_cut_lines, scenario_from_text,
                                scenario_to_text, segment_crossings,
                                validate_scenario, _segment_hits_hole)
@@ -22,6 +22,23 @@ def test_holed_torus_bounds():
     t = HoledTorus(0.02)
     assert t.in_hole(0.01, 0.99)
     assert not t.in_hole(0.03, 0.01)
+
+
+def test_frac_equals_mod_one_bit_for_bit():
+    edge = [0.0, -0.0, -1e-20, -5e-324, 1.0 - 2.0 ** -53, -(1.0 - 2.0 ** -53),
+            2.0 ** 52 - 0.5, -(2.0 ** 52 - 0.5)]
+    c = np.concatenate([np.random.default_rng(3).uniform(-100.0, 100.0, 20000),
+                        edge])
+    assert (frac(c).view(np.int64) == (c % 1.0).view(np.int64)).all()
+    for v in edge + c[:200].tolist():
+        assert type(frac(v)) is float
+        assert frac(v).hex() == (v % 1.0).hex()
+    assert frac(-0.0).hex() == "0x0.0p+0"
+    for v in (math.inf, -math.inf, math.nan):
+        assert math.isnan(frac(v)) and math.isnan(v % 1.0)
+        with np.errstate(invalid="ignore"):
+            both = (frac(np.array([v])), np.array([v]) % 1.0)
+        assert np.isnan(both).all()
 
 
 def test_strip_transverse_and_membership():
