@@ -16,7 +16,7 @@ from . import __version__
 from .config import ExperimentConfig, config_to_text, load_config
 from .counting import CountingQM
 from .errors import (ConfigError, DegenerateCrossing, InfeasibleScenario,
-                     ValidityWindowExceeded)
+                     StripflowError, ValidityWindowExceeded)
 from .estimator import rho_estimate, rho_predicted
 from .flow import calabi, flux_check, hofer_upper_bound
 from .properties import run_property_suite
@@ -29,6 +29,14 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_INFEASIBLE = 3
 EXIT_PROPERTY = 4
+
+# the error contract: the JSON record's kind and the exit code per error
+_ERRORS = {
+    ConfigError: ("invalid_config", EXIT_CONFIG),
+    InfeasibleScenario: ("infeasible_scenario", EXIT_INFEASIBLE),
+    ValidityWindowExceeded: ("validity_window_exceeded", EXIT_INFEASIBLE),
+    DegenerateCrossing: ("degenerate_crossing", EXIT_INFEASIBLE),
+}
 
 
 def _g(x: float) -> str:
@@ -167,11 +175,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         config = load_config(args.config) if args.config else ExperimentConfig()
-    except ConfigError as exc:
-        _error_record("invalid_config", str(exc))
-        return EXIT_CONFIG
-
-    try:
         if args.command == "validate":
             return cmd_validate(config)
         if args.command == "run":
@@ -183,18 +186,10 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "show-config":
             print(config_to_text(config), end="")
             return EXIT_OK
-    except ConfigError as exc:
-        _error_record("invalid_config", str(exc))
-        return EXIT_CONFIG
-    except InfeasibleScenario as exc:
-        _error_record("infeasible_scenario", str(exc))
-        return EXIT_INFEASIBLE
-    except ValidityWindowExceeded as exc:
-        _error_record("validity_window_exceeded", str(exc))
-        return EXIT_INFEASIBLE
-    except DegenerateCrossing as exc:
-        _error_record("degenerate_crossing", str(exc))
-        return EXIT_INFEASIBLE
+    except StripflowError as exc:
+        kind, code = _ERRORS[type(exc)]
+        _error_record(kind, str(exc))
+        return code
     raise AssertionError("unreachable")
 
 

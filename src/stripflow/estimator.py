@@ -8,6 +8,9 @@ integral over the union.  Periodic points contribute the exact homogenized
 value of their period class; the rest contribute the finite-horizon
 quotient of their accumulated crossing word.  A sample that only its home
 strip moves reads its word off the segment it traces, the rest off events.
+One pass over the strips gives each point's home strip and multiplicity,
+periodic samples are classed once per winding pair, and one sequential
+fold sums the per-class table.
 """
 from __future__ import annotations
 
@@ -82,8 +85,9 @@ def rho_predicted(scenario: Scenario, q: CountingQM) -> RhoPrediction:
 
 def _ramp_points(strip: StripSpec, n: int, seed: int, strip_index: int):
     """Deterministic uniform points on the strip's moving band."""
-    rng = np.random.Generator(
-        np.random.Philox(key=[seed & 0xFFFFFFFFFFFFFFFF, strip_index]))
+    # a list key would go through float64 from 2^63 on and merge seeds
+    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, strip_index], dtype=np.uint64)
+    rng = np.random.Generator(np.random.Philox(key=key))
     along = rng.random(n)
     h = strip.smoothing + rng.random(n) * strip.ramp_width
     if strip.direction == "H":
@@ -96,19 +100,16 @@ def _ramp_points(strip: StripSpec, n: int, seed: int, strip_index: int):
     return nudge_off_cut_lines((x, y))
 
 
-def _home_strips(scenario: Scenario, x: np.ndarray, y: np.ndarray):
-    """Index of the first strip whose ramp holds each point, -1 for none."""
+def _ramp_scan(scenario: Scenario, x: np.ndarray, y: np.ndarray):
+    """One pass over the strips: per point, the index of the first strip
+    whose ramp holds it (-1 for none) and the number of ramps that hold it."""
     home = np.full(x.shape, -1, dtype=np.int64)
+    count = np.zeros(x.shape, dtype=np.int64)
     for idx in reversed(range(len(scenario.strips))):
-        home[scenario.strips[idx].shear(x, y, 0.0)[1]] = idx
-    return home
-
-
-def _ramp_multiplicity(scenario: Scenario, x: np.ndarray, y: np.ndarray):
-    mult = np.zeros(x.shape, dtype=np.int64)
-    for s in scenario.strips:
-        mult += s.shear(x, y, 0.0)[1]
-    return np.maximum(mult, 1)
+        on_ramp = scenario.strips[idx].shear(x, y, 0.0)[1]
+        home[on_ramp] = idx
+        count += on_ramp
+    return home, count
 
 
 def _canonical_class(core: tuple[int, ...]) -> str:
@@ -134,11 +135,11 @@ def _kinds(run: batch.BatchRun, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _windings(run: batch.BatchRun, x: np.ndarray, y: np.ndarray, idx):
-    """Per sample in ``idx``, the floor differences (fx, fy) between its
-    start and its step-m snapshot: its crossings in m steps, per axis."""
-    fx = (np.floor(run.x_m[idx]) - np.floor(x[idx])).astype(np.int64)
-    fy = (np.floor(run.y_m[idx]) - np.floor(y[idx])).astype(np.int64)
-    return list(zip(fx.tolist(), fy.tolist()))
+    """Per sample in ``idx``, one row (fx, fy) of floor differences between
+    its start and its step-m snapshot: its crossings in m steps, per axis."""
+    fx = np.floor(run.x_m[idx]) - np.floor(x[idx])
+    fy = np.floor(run.y_m[idx]) - np.floor(y[idx])
+    return np.stack([fx, fy], axis=1).astype(np.int64)
 
 
 def _path_word(run: batch.BatchRun, x: np.ndarray, y: np.ndarray, i: int,
@@ -151,7 +152,7 @@ def _path_word(run: batch.BatchRun, x: np.ndarray, y: np.ndarray, i: int,
                          (float(run.x_end[i]), float(run.y_end[i])))
 
 
-def _periodic_core(path: Word, winding: tuple[int, int]) -> tuple[int, ...]:
+def _periodic_core(path: Word, winding) -> tuple[int, ...]:
     """Cyclic core of a periodic sample's m-step word: the first |fx| + |fy|
     letters of its segment's word.  Its class depends on the winding alone."""
     return cyclic_core(path.letters[:abs(winding[0]) + abs(winding[1])])
@@ -161,8 +162,9 @@ def _evaluate_batch(scenario: Scenario, q: CountingQM, K: int,
                     x: np.ndarray, y: np.ndarray, home: np.ndarray):
     """Classify a batch and return per-sample values and class keys.
 
-    Returns (values, kinds, class_keys, degenerate) with kinds
-    0 = stationary, 1 = periodic, 2 = bad.
+    Returns (values, kinds, keys, degenerate) with kinds 0 = stationary,
+    1 = periodic, 2 = bad, and ``keys`` an object array holding each
+    periodic sample's class and None for every other sample.
     """
     m = scenario.m
     pattern = q.pattern.letters
@@ -171,18 +173,21 @@ def _evaluate_batch(scenario: Scenario, q: CountingQM, K: int,
     kinds = _kinds(run, x, y)
     n = x.size
     values = np.zeros(n)
-    class_keys: dict[int, str] = {}
+    keys = np.full(n, None, dtype=object)
 
     # flagged samples are re-run nudged: their values and keys are replaced
     periodic = np.nonzero((kinds == 1) & ~run.degenerate)[0]
-    cache: dict[tuple[int, int], tuple[str, float]] = {}
-    for i, w in zip(periodic.tolist(), _windings(run, x, y, periodic)):
-        hit = cache.get(w)
-        if hit is None:
-            core = _periodic_core(_path_word(run, x, y, i, {}), w)
-            hit = cache[w] = (_canonical_class(core),
-                              homogenized_tuple(pattern, core) / m)
-        class_keys[i], values[i] = hit
+    # one class per winding pair, read off the first sample with that pair
+    pairs, first, inverse = np.unique(
+        _windings(run, x, y, periodic), axis=0, return_index=True,
+        return_inverse=True)
+    cores = [_periodic_core(_path_word(run, x, y, i, {}), w)
+             for w, i in zip(pairs.tolist(), periodic[first].tolist())]
+    inverse = inverse.reshape(-1)  # 2-D under numpy 2.0.0
+    keys[periodic] = np.array([_canonical_class(c) for c in cores],
+                              dtype=object)[inverse]
+    values[periodic] = np.array(
+        [homogenized_tuple(pattern, c) / m for c in cores])[inverse]
 
     bad = np.nonzero((kinds == 2) & ~run.degenerate)[0]
     events = batch.assemble_words(run, n, only=bad[run.foreign[bad]])
@@ -193,7 +198,7 @@ def _evaluate_batch(scenario: Scenario, q: CountingQM, K: int,
         close, _ = closing_word(end, start, hh)
         word = _path_word(run, x, y, i, events) * close
         values[i] = homogenized_tuple(pattern, word.letters) / K
-    return values, kinds, class_keys, run.degenerate
+    return values, kinds, keys, run.degenerate
 
 
 def _evaluate_with_nudges(scenario: Scenario, q: CountingQM, K: int,
@@ -204,7 +209,7 @@ def _evaluate_with_nudges(scenario: Scenario, q: CountingQM, K: int,
     run.  Raises DegenerateCrossing if samples stay degenerate after
     NUDGE_RETRIES nudges.
     """
-    values, kinds, class_keys, degenerate = _evaluate_batch(
+    values, kinds, keys, degenerate = _evaluate_batch(
         scenario, q, K, x, y, home)
     attempt = 0
     while degenerate.any():
@@ -216,14 +221,10 @@ def _evaluate_with_nudges(scenario: Scenario, q: CountingQM, K: int,
         shift = attempt * NUDGE
         v2, k2, c2, d2 = _evaluate_batch(
             scenario, q, K, x[idx] + shift, y[idx] + shift, home[idx])
-        values[idx], kinds[idx] = v2, k2
-        for local, orig in enumerate(idx):
-            class_keys.pop(int(orig), None)
-            if local in c2:
-                class_keys[int(orig)] = c2[local]
+        values[idx], kinds[idx], keys[idx] = v2, k2, c2
         degenerate = np.zeros_like(degenerate)
         degenerate[idx[d2]] = True
-    return values, kinds, class_keys
+    return values, kinds, keys
 
 
 def _checked_K(scenario: Scenario, K: int | None) -> int:
@@ -240,35 +241,33 @@ def _checked_K(scenario: Scenario, K: int | None) -> int:
     return K
 
 
+def _per_class(keys: np.ndarray, area: np.ndarray, contrib: np.ndarray):
+    """Per class key (None: no class), in order of first appearance, the
+    sums of ``area`` and ``contrib`` over its samples.  Each sum is a fold
+    in sample order: the same bit for bit as adding one sample at a time."""
+    held = np.nonzero(keys != None)[0]  # elementwise on an object array
+    names, first, inverse = np.unique(keys[held].astype(str),
+                                      return_index=True, return_inverse=True)
+    sums = np.zeros((2, len(names)))
+    np.add.at(sums[0], inverse, area[held])
+    np.add.at(sums[1], inverse, contrib[held])
+    return {str(names[j]): (float(sums[0, j]), float(sums[1, j]))
+            for j in np.argsort(first)}
+
+
 def _chunk_task(args):
     (scenario, q, K, strip_indices, n, seed) = args
-    xs, ys, homes = [], [], []
-    for si in strip_indices:
-        x, y = _ramp_points(scenario.strips[si], n, seed, si)
-        xs.append(x)
-        ys.append(y)
-        homes.append(np.full(n, si, dtype=np.int64))
-    x = np.concatenate(xs)
-    y = np.concatenate(ys)
-    home = np.concatenate(homes)
-    mult = _ramp_multiplicity(scenario, x, y)
-    values, kinds, class_keys = _evaluate_with_nudges(scenario, q, K, x, y, home)
-
-    weights = 1.0 / mult
+    x, y = np.concatenate([_ramp_points(scenario.strips[si], n, seed, si)
+                           for si in strip_indices], axis=1)
+    home = np.repeat(np.array(strip_indices, dtype=np.int64), n)
+    mult = _ramp_scan(scenario, x, y)[1]
+    values, kinds, keys = _evaluate_with_nudges(scenario, q, K, x, y, home)
+    weights = 1.0 / np.maximum(mult, 1)
     contrib = values * weights
     stats = []
     for block, si in enumerate(strip_indices):
         sel = slice(block * n, (block + 1) * n)
-        strip = scenario.strips[si]
-        area = strip.ramp_width  # chart area of the moving band
-        per_class: dict[str, tuple[float, float]] = {}
-        for i in range(sel.start, sel.stop):
-            key = class_keys.get(i)
-            if key is None:
-                continue
-            a, c = per_class.get(key, (0.0, 0.0))
-            per_class[key] = (a + weights[i] * area / n,
-                              c + contrib[i] * area / n)
+        area = scenario.strips[si].ramp_width  # chart area of the moving band
         block_contrib = contrib[sel]
         stats.append({
             "area": area,
@@ -276,7 +275,8 @@ def _chunk_task(args):
             "mean": float(block_contrib.mean()),
             "var": float(block_contrib.var()),
             "bad_weight": float(weights[sel][kinds[sel] == 2].sum()),
-            "per_class": per_class,
+            "per_class": _per_class(keys[sel], weights[sel] * area / n,
+                                    block_contrib * area / n),
         })
     return stats
 
@@ -353,7 +353,7 @@ def iterate_word(scenario: Scenario, q: CountingQM, p: tuple[float, float],
     for attempt in range(NUDGE_RETRIES + 1):
         x, y = x0 + attempt * NUDGE, y0 + attempt * NUDGE
         run = batch.run_batch(scenario, scenario.tau, K, x, y,
-                              home=_home_strips(scenario, x, y), collect=True,
+                              home=_ramp_scan(scenario, x, y)[0], collect=True,
                               m_snapshot=m)
         if not run.degenerate[0]:
             break
@@ -386,19 +386,16 @@ def grid_estimate(scenario: Scenario, q: CountingQM, K: int | None = None,
     xs = (np.arange(grid) + 0.5) / grid
     gx, gy = np.meshgrid(xs, xs, indexing="ij")
     gx, gy = gx.ravel(), gy.ravel()
-    home = _home_strips(scenario, gx, gy)
+    home = _ramp_scan(scenario, gx, gy)[0]
     sel = np.nonzero(home >= 0)[0]
-    values, kinds, class_keys = _evaluate_with_nudges(
+    values, kinds, keys = _evaluate_with_nudges(
         scenario, q, K, gx[sel], gy[sel], home[sel])
     cell = 1.0 / (grid * grid)
     value = float(values.sum() * cell)
     count = values.size
     covered_area = count * cell
     stderr = covered_area * float(values.std()) / np.sqrt(max(count, 1))
-    per_class: dict[str, tuple[float, float]] = {}
-    for i, key in class_keys.items():
-        a, c = per_class.get(key, (0.0, 0.0))
-        per_class[key] = (a + cell, c + values[i] * cell)
+    per_class = _per_class(keys, np.full(count, cell), values * cell)
     bad_area = float((kinds == 2).sum()) * cell
     return RhoEstimate(
         value=value,

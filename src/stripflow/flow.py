@@ -286,12 +286,7 @@ def calabi_region_decomposition(scenario: Scenario, tau: float) -> float:
 
 
 def flux_check(scenario: Scenario) -> tuple[float, float]:
-    """Total flux per unit time across the two cut circles; (0, 0) iff
-    the composed flow is Hamiltonian.  Exact integer arithmetic."""
-    fa = 0
-    fb = 0
-    for strip in scenario.strips:
-        vx, vy = DIRECTION_VECTORS[strip.direction]
-        fa += strip.orientation * int(vx)
-        fb += strip.orientation * int(vy)
-    return float(fa), float(fb)
+    """Total flux per unit time across the two cut circles: the sum of the
+    exact integer ``per_copy_flux``; (0, 0) iff the flow is Hamiltonian."""
+    flux = per_copy_flux(scenario).values()
+    return float(sum(f[0] for f in flux)), float(sum(f[1] for f in flux))

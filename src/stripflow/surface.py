@@ -20,13 +20,15 @@ D         along (1,1)  u = x - y            ab
 
 In its shear chart every strip is a band of width ``width`` over a core
 loop of unit length, so width = area = traversal period of the full-band
-profile.
+profile.  Each torus rule is written once here: ``frac`` reduces mod 1,
+``near_cut_line`` tests for a cut line, ``clears_hole`` tests a band
+against the hole and ``per_copy_flux`` sums the flux.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -60,18 +62,21 @@ AUTO = "auto"
 
 
 def frac(c):
-    """c mod 1, as ``c - floor(c)``, on floats and numpy arrays alike.
-
-    The one reduction mod 1.  It equals ``c % 1.0`` (Python's or numpy's)
-    bit for bit: -0.0 maps to 0.0, a negative c just below an integer whose
-    exact remainder rounds up gives 1.0, and a non-finite c gives nan.  On
-    arrays it is several times faster than numpy's ``%``; a float stays a
-    Python float and, like ``%``, a non-finite one raises no warning.
-    """
+    """The one reduction mod 1, ``c - floor(c)``, on floats and arrays alike:
+    equal to ``c % 1.0`` (Python's or numpy's) bit for bit, with -0.0 mapped
+    to 0.0 and a non-finite c to nan, but several times faster on arrays.
+    A float stays a float and, as with ``%``, raises no warning."""
     if isinstance(c, np.ndarray):
         return c - np.floor(c)
     # np.floor, unlike math.floor, keeps the sign of -0.0
     return c - float(np.floor(c)) if math.isfinite(c) else math.nan
+
+
+def clears_hole(direction: str, offset: float, width: float,
+                hole_halfwidth: float) -> bool:
+    """The one hole-clearance test of a band [offset, offset + width]."""
+    clearance = HOLE_CLEARANCE[direction] * hole_halfwidth
+    return offset >= clearance and offset + width <= 1.0 - clearance
 
 
 def transverse_lift(direction: str, x, y):
@@ -143,10 +148,6 @@ class StripSpec:
     def contains(self, x: float, y: float) -> bool:
         return self.transverse(x, y) < self.width
 
-    def avoids_hole(self, hole_halfwidth: float) -> bool:
-        clearance = HOLE_CLEARANCE[self.direction] * hole_halfwidth
-        return self.offset >= clearance and self.offset + self.width <= 1.0 - clearance
-
 
 @dataclass(frozen=True)
 class OverlapReport:
@@ -177,8 +178,7 @@ class Scenario:
 
 def _interval_intersects_mod1(a0: float, alen: float, b0: float, blen: float) -> bool:
     """Do the open intervals (a0, a0+alen) and (b0, b0+blen) meet on R/Z?"""
-    a0 = frac(a0)
-    b0 = frac(b0)
+    a0, b0 = frac(a0), frac(b0)
     for shift in (-1.0, 0.0, 1.0):
         lo = max(a0, b0 + shift)
         hi = min(a0 + alen, b0 + shift + blen)
@@ -235,8 +235,7 @@ def _min_circular_gap(windows: list[tuple[float, float]]) -> float:
     if not windows:
         return 1.0
     # merge, then measure gaps between consecutive merged windows
-    spans = sorted((lo, lo + ln) for lo, ln in
-                   ((frac(s), ln) for s, ln in windows))
+    spans = sorted(((frac(s), frac(s) + ln) for s, ln in windows))
     merged: list[list[float]] = []
     for lo, hi in spans:
         if merged and lo <= merged[-1][1]:
@@ -275,7 +274,8 @@ def validate_scenario(scenario: Scenario) -> OverlapReport:
             raise InfeasibleScenario(
                 f"copy {copy_id} has nonzero flux {flux[copy_id]}")
     for s in strips:
-        if not s.avoids_hole(scenario.surface.hole_halfwidth):
+        if not clears_hole(s.direction, s.offset, s.width,
+                           scenario.surface.hole_halfwidth):
             raise InfeasibleScenario(
                 f"strip {s.direction}@{s.offset:.6g} meets the hole zone")
     for i, s1 in enumerate(strips):
@@ -331,11 +331,6 @@ def _grid_offsets(phase: float, n: int) -> list[float]:
     return [frac(phase + i / n) for i in range(n)]
 
 
-def _offsets_feasible(offsets: Iterable[float], width: float,
-                      clearance: float) -> bool:
-    return all(o >= clearance and o + width <= 1.0 - clearance for o in offsets)
-
-
 def _auto_phase_d(N: int, T: float, phase_h: float, phase_v: float,
                   hole_halfwidth: float) -> float:
     """Deterministic search for the diagonal-family phase.
@@ -347,7 +342,6 @@ def _auto_phase_d(N: int, T: float, phase_h: float, phase_v: float,
     diagonal bands clear the hole zone.
     """
     cell = 1.0 / N
-    clearance = 2.0 * hole_halfwidth
     base = T / 2.0 + cell / 2.0 + PHASE_EPS
     step = cell / 256.0
     lo, hi = 2.0 * T + 4.0 * step, cell - T - 4.0 * step
@@ -362,8 +356,8 @@ def _auto_phase_d(N: int, T: float, phase_h: float, phase_v: float,
         if not lo <= theta <= hi:
             continue
         phase_d = (phase_v - phase_h - theta) % cell
-        offsets = _grid_offsets(phase_d, N)
-        if _offsets_feasible(offsets, T, clearance):
+        if all(clears_hole("D", o, T, hole_halfwidth)
+               for o in _grid_offsets(phase_d, N)):
             return phase_d
     raise InfeasibleScenario(
         "no diagonal phase satisfies both the triple-overlap window and the "

@@ -7,7 +7,7 @@ import pytest
 from stripflow import batch, estimator
 from stripflow.batch import assemble_words, run_batch, wrapped_return
 from stripflow.counting import CountingQM, homogenized_tuple
-from stripflow.estimator import (RETURN_TOL, _home_strips, _ramp_points,
+from stripflow.estimator import (RETURN_TOL, _ramp_points, _ramp_scan,
                                  iterate_word)
 from stripflow.flow import apply_composed
 from stripflow.surface import build_scenario, crossing_word, near_cut_line
@@ -173,7 +173,7 @@ def _assert_estimator_words_exact(scenario, fast, full, x0, y0, m):
                            max_key=float(m * full.applications_per_step))
     classes = {}
     moved = np.nonzero(fast.moved & ~fast.foreign & ~fast.degenerate)[0]
-    windings = estimator._windings(fast, x0, y0, moved)
+    windings = map(tuple, estimator._windings(fast, x0, y0, moved).tolist())
     for i, w in zip(moved.tolist(), windings):
         path = estimator._path_word(fast, x0, y0, i, {})
         assert path.letters == k_words[i]
@@ -221,7 +221,7 @@ def _sample_batch(scenario, n, seed):
     x, y = _seeded_points(scenario, seed)
     xs.append(x)
     ys.append(y)
-    homes.append(_home_strips(scenario, x, y))
+    homes.append(_ramp_scan(scenario, x, y)[0])
     return np.concatenate(xs), np.concatenate(ys), np.concatenate(homes)
 
 
@@ -327,7 +327,7 @@ def test_fast_path_home_ramp_without_the_point():
             ys.append(y)
             homes.append(np.full(25, (si + shift) % n_strips))
     x, y = rng.random(400), rng.random(400)
-    off_ramps = _home_strips(scenario, x, y) < 0
+    off_ramps = _ramp_scan(scenario, x, y)[0] < 0
     xs.append(x[off_ramps])
     ys.append(y[off_ramps])
     homes.append(rng.integers(0, n_strips, off_ramps.sum()))
@@ -379,7 +379,7 @@ def _event_oracle(scenario, q, K, x, y, home):
     kinds = np.where(run.moved, 2, 0)
     kinds[periodic] = 1
     values = np.zeros(n)
-    keys = {}
+    keys = np.full(n, None, dtype=object)
     m_words = _event_words(run, n,
                            max_key=float(m * run.applications_per_step))
     k_words = _event_words(run, n)
@@ -432,7 +432,7 @@ def test_evaluate_batch_matches_event_words(N, m, ramp_fraction, monkeypatch):
         scenario, AB, K, x0, y0, home)
     assert _same_bits(values, expected[0])
     assert (kinds == expected[1]).all()
-    assert list(keys.items()) == list(expected[2].items())
+    assert keys.tolist() == expected[2].tolist()
     assert _same_bits(degenerate, expected[3])
     # only the samples a foreign strip moved read their crossing events
     foreign = runs[0].foreign

@@ -12,7 +12,9 @@ from stripflow import cli
 from stripflow.cli import CSV_HEADER, main
 from stripflow.config import (ExperimentConfig, config_from_json,
                               config_from_text, config_to_text, load_config)
-from stripflow.errors import ConfigError, DegenerateCrossing
+from stripflow.errors import (ConfigError, DegenerateCrossing,
+                              InfeasibleScenario, StripflowError,
+                              ValidityWindowExceeded)
 
 TINY = """
 pattern = ab
@@ -267,6 +269,28 @@ def test_cli_degenerate_crossing_exit_code(tmp_path, capsys, monkeypatch):
     assert main(["sweep", str(_write_tiny(tmp_path))]) == 3
     assert _one_error_record(capsys.readouterr().err)["error"] == \
         "degenerate_crossing"
+
+
+# every package error, its JSON kind and its exit code
+_CONTRACT = {ConfigError: ("invalid_config", 2),
+             InfeasibleScenario: ("infeasible_scenario", 3),
+             ValidityWindowExceeded: ("validity_window_exceeded", 3),
+             DegenerateCrossing: ("degenerate_crossing", 3)}
+
+
+@pytest.mark.parametrize("error", sorted(_CONTRACT, key=lambda e: e.__name__))
+def test_cli_error_contract_per_error_type(error, tmp_path, capsys,
+                                           monkeypatch):
+    assert set(StripflowError.__subclasses__()) == set(_CONTRACT)
+
+    def fail(*args, **kwargs):
+        raise error("detail")
+
+    monkeypatch.setattr(cli, "rho_estimate", fail)
+    kind, code = _CONTRACT[error]
+    assert main(["run", str(_write_tiny(tmp_path))]) == code
+    assert _one_error_record(capsys.readouterr().err) == \
+        {"error": kind, "detail": "detail"}
 
 
 # Hostile config documents: every outcome is a documented exit code with one

@@ -1,4 +1,6 @@
 """Trajectory estimator: classification, iterate_word, rho estimates."""
+import warnings
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,8 @@ from stripflow.errors import (ConfigError, DegenerateCrossing,
                               ValidityWindowExceeded)
 from stripflow.estimator import (NUDGE_RETRIES, RhoEstimate, deficiency,
                                  grid_estimate, iterate_word, rho_estimate,
-                                 rho_predicted)
+                                 rho_predicted, _per_class, _ramp_points,
+                                 _ramp_scan)
 from stripflow.surface import (HoledTorus, Scenario, build_scenario,
                                validate_scenario)
 from stripflow.words import Word
@@ -302,3 +305,58 @@ def test_rho_estimate_rejects_bad_worker_counts(raw, monkeypatch):
     monkeypatch.setenv("STRIPFLOW_WORKERS", raw)
     with pytest.raises(ConfigError):
         rho_estimate(_scenario(), AB, samples_per_strip=10)
+
+
+def test_ramp_points_distinct_for_seeds_mod_2_64():
+    # negative seeds and seeds of 2^63 and above used to go through float64
+    # and fall onto another seed's stream
+    strip = _scenario().strips[0]
+    seeds = (0, -5, -6, 2 ** 63, 2 ** 63 + 7, 2 ** 64 - 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        firsts = {float(_ramp_points(strip, 1, seed, 0)[0][0]) for seed in seeds}
+    assert len(firsts) == len(seeds)
+    # seeds are taken mod 2^64
+    assert (_ramp_points(strip, 5, -5, 0)[0] ==
+            _ramp_points(strip, 5, 2 ** 64 - 5, 0)[0]).all()
+
+
+def test_ramp_scan_matches_per_point_strip_tests():
+    s = _scenario(N=2, T=0.08, m=32, ramp_fraction=1.0)
+    rng = np.random.default_rng(41)
+    x, y = rng.random(3000), rng.random(3000)
+    home, count = _ramp_scan(s, x, y)
+    for i in range(x.size):
+        held = [j for j, strip in enumerate(s.strips)
+                if strip.shear(float(x[i]), float(y[i]), 0.0)[1]]
+        assert home[i] == (held[0] if held else -1)
+        assert count[i] == len(held)
+    assert (count > 1).any() and (count == 0).any()
+
+
+def _per_class_loop(keys, area, contrib):
+    """The per-sample fold that _per_class replaces."""
+    out = {}
+    for i, key in enumerate(keys):
+        if key is None:
+            continue
+        a, c = out.get(key, (0.0, 0.0))
+        out[key] = (a + area[i], c + contrib[i])
+    return out
+
+
+def test_per_class_equals_per_sample_fold():
+    rng = np.random.default_rng(43)
+    names = np.array([None, "", "a", "b", "BA", "aabb"], dtype=object)
+    keys = names[rng.integers(0, names.size, 5000)]
+    # magnitudes over 16 decades, so a different summation order shows
+    area = rng.random(5000) * 10.0 ** rng.integers(-8, 8, 5000)
+    contrib = rng.standard_normal(5000) * 10.0 ** rng.integers(-8, 8, 5000)
+    fast = _per_class(keys, area, contrib)
+    slow = _per_class_loop(keys, area, contrib)
+    assert list(fast) == list(slow) and len(fast) == 5
+    for key, (a, c) in slow.items():
+        assert (fast[key][0].hex(), fast[key][1].hex()) == \
+            (float(a).hex(), float(c).hex())
+    assert _per_class(np.full(3, None, dtype=object), area[:3],
+                      contrib[:3]) == {}

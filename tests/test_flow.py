@@ -223,6 +223,14 @@ def test_generator_drift_rate_equals_N():
         assert generator_drift_rate(s) == pytest.approx(float(n))
 
 
+def _summed_per_copy_flux(scenario):
+    total = [0.0, 0.0]
+    for fa, fb in per_copy_flux(scenario).values():
+        total[0] += fa
+        total[1] += fb
+    return tuple(total)
+
+
 def test_flux_examples():
     s = _scenario(N=2, T=0.08, m=32)
     assert flux_check(s) == (0.0, 0.0)
@@ -231,6 +239,10 @@ def test_flux_examples():
     lone = Scenario(HoledTorus(0.02),
                     (StripSpec("H", 0.3, 0.05, 1, 0.0, 0),), 1, 0.05, 10)
     assert flux_check(lone) == (1.0, 0.0)
+    for scen in (s, _scenario(), _scenario(N=4, T=0.04, m=64), lone):
+        fa, fb = flux_check(scen)
+        assert type(fa) is float and type(fb) is float
+        assert (fa, fb) == _summed_per_copy_flux(scen)
     q = CountingQM.from_text("ab")
     with pytest.raises(ValueError, match="flux"):
         rho_estimate(lone, q, K=10, samples_per_strip=10)
