@@ -11,6 +11,12 @@ Given each sample's home strip, run_batch first picks out the lone orbits
 home direction in the same pass; they trace one straight segment and emit
 no events.  Only the rest run through the full engine, which tests every
 sample against all 3N strips every step.
+
+One rule flags a sample that has no exact word: its start or end point
+lies on a cut line, or a foreign strip moved it and one of its moves
+starts or ends on a cut line.  A sample that only its home strip moves
+traces one straight segment, whose word its end points alone decide, so
+its steps are never checked.
 """
 from __future__ import annotations
 
@@ -41,41 +47,29 @@ class BatchRun:
     applications_per_step: int
 
 
-def _crossings(old, new):
-    """The moves old -> new that cross a cut line: their indices, the floors
-    of both ends, and a flag for a first or last crossing parameter within
-    CUT_LINE_TOL of 0 or 1, where the move starts or ends on the cut line
-    and the sample has no exact word."""
-    c0, c1 = np.floor(old), np.floor(new)
-    nz = np.nonzero(c0 != c1)[0]
-    lo, hi, o, span = c0[nz], c1[nz], old[nz], new[nz] - old[nz]
-    first = (np.where(hi > lo, lo + 1, lo) - o) / span
-    last = (np.where(hi > lo, hi, hi + 1) - o) / span
-    return nz, lo, hi, (first < CUT_LINE_TOL) | (last > 1.0 - CUT_LINE_TOL)
-
-
 class _EventSink:
-    def __init__(self, degenerate: np.ndarray):
+    def __init__(self, n: int):
         self.sample = [np.empty(0, dtype=np.int64)]
         self.key = [np.empty(0)]
         self.letter = [np.empty(0, dtype=np.int8)]
-        self.degenerate = degenerate
+        self.at_end = np.zeros(n, dtype=bool)
 
     def emit_axis(self, ids, old, new, letter_code, seq: float):
         """Emit the cut-line crossings of the moves old -> new along one
-        axis under the application's sequence number ``seq``, and flag
-        the moves that start or end on a cut line."""
-        nz, c0, c1, at_end = _crossings(old, new)
-        if nz.size == 0:
-            return
-        ids, old, new = ids[nz], old[nz], new[nz]
-        self.degenerate[ids[at_end]] = True
-        counts = (c1 - c0).astype(np.int64)
-        for j in range(1, int(np.abs(counts).max()) + 1):
+        axis under the application's sequence number ``seq``, and flag in
+        ``at_end`` the moves with a crossing parameter within CUT_LINE_TOL
+        of 0 or 1: they start or end on a cut line."""
+        c0, c1 = np.floor(old), np.floor(new)
+        nz = np.nonzero(c0 != c1)[0]
+        ids, old, new, c0 = ids[nz], old[nz], new[nz], c0[nz]
+        counts = (c1[nz] - c0).astype(np.int64)
+        for j in range(1, int(np.abs(counts).max(initial=0)) + 1):
             sel = np.abs(counts) >= j
             up = counts[sel] > 0
             k = np.where(up, c0[sel] + j, c0[sel] - (j - 1))
             tpar = (k - old[sel]) / (new[sel] - old[sel])
+            self.at_end[ids[sel][(tpar < CUT_LINE_TOL)
+                                 | (tpar > 1.0 - CUT_LINE_TOL)]] = True
             self.sample.append(ids[sel])
             self.key.append(seq + tpar)
             self.letter.append(
@@ -86,21 +80,21 @@ class _EventSink:
 
 
 def run_batch(scenario: Scenario, t: float, n_steps: int,
-              x0: np.ndarray, y0: np.ndarray,
-              home: np.ndarray | None = None,
+              x0: np.ndarray, y0: np.ndarray, home: np.ndarray,
               collect: bool = False,
               m_snapshot: int | None = None,
               compact_fixed: bool = True) -> BatchRun:
     """Iterate n_steps composed time-t maps over a batch of lifted points.
 
-    Samples whose lift is unchanged after the first step are exactly fixed
-    forever and are dropped from the iteration (their flags stay put).
-    With ``home``, the lone orbits are followed along their home strip
-    alone and only the other samples run through the full engine; every
-    position and flag is the same bit for bit, but lone orbits emit no
-    crossing events.  With ``collect``, ``degenerate`` flags every sample
-    that has no exact word: a crossing at a segment end, or a start or end
-    point on a cut line.
+    ``home`` gives each sample's home strip (-1 for none); a sample that
+    any other strip moves is ``foreign``.  Samples whose lift is unchanged
+    after the first step are exactly fixed forever and are dropped from
+    the iteration (their flags stay put).  The lone orbits are followed
+    along their home strip alone and only the other samples run through
+    the full engine; every position and flag is the same bit for bit, but
+    lone orbits emit no crossing events.  With ``collect``, ``degenerate``
+    flags every sample that has no exact word: a start or end point on a
+    cut line, or a foreign sample with a move that starts or ends on one.
     """
     n_strips = len(scenario.strips)
     x0 = np.asarray(x0, dtype=float)
@@ -116,19 +110,18 @@ def run_batch(scenario: Scenario, t: float, n_steps: int,
         degenerate=np.zeros(n, dtype=bool),
         event_sample=None, event_key=None, event_letter=None,
         applications_per_step=n_strips)
-    sink = _EventSink(run.degenerate) if collect else None
+    sink = _EventSink(n) if collect else None
 
     rest = np.arange(n, dtype=np.int64)
-    if home is not None and n_steps > 0:
-        lone = _lone_orbits(scenario, t, n_steps, x0, y0, home, snap,
-                            collect, run)
-        rest = rest[~lone]
-    _run_engine(scenario, t, n_steps, x0, y0, rest,
-                None if home is None else home[rest], sink, snap,
+    if n_steps > 0:
+        rest = rest[~_lone_orbits(scenario, t, n_steps, x0, y0, home, snap,
+                                  run)]
+    _run_engine(scenario, t, n_steps, x0, y0, rest, home[rest], sink, snap,
                 compact_fixed, run)
 
     if collect:
         run.event_sample, run.event_key, run.event_letter = sink.arrays()
+        run.degenerate = sink.at_end & run.foreign
         for c in (x0, y0, run.x_end, run.y_end):
             run.degenerate |= near_cut_line(c)
     return run
@@ -136,7 +129,7 @@ def run_batch(scenario: Scenario, t: float, n_steps: int,
 
 def _run_engine(scenario: Scenario, t: float, n_steps: int,
                 x0: np.ndarray, y0: np.ndarray, ids: np.ndarray,
-                hm: np.ndarray | None, sink: _EventSink | None, snap: int,
+                hm: np.ndarray, sink: _EventSink | None, snap: int,
                 compact_fixed: bool, run: BatchRun) -> None:
     """The full engine: every step tests every sample against all strips.
 
@@ -156,8 +149,7 @@ def _run_engine(scenario: Scenario, t: float, n_steps: int,
         for pos, (si, strip, axes) in enumerate(acting):
             _, on_ramp, d = strip.shear(*xy, t)
             moved_live |= on_ramp
-            if hm is not None:
-                foreign_live |= on_ramp & (hm != si)
+            foreign_live |= on_ramp & (hm != si)
             if not on_ramp.any():
                 continue
             seq = float(step * n_strips + pos)
@@ -171,9 +163,7 @@ def _run_engine(scenario: Scenario, t: float, n_steps: int,
             alive = moved_live
             run.x_end[ids[~alive]], run.y_end[ids[~alive]] = (
                 c[~alive] for c in xy)
-            xy, ids = [c[alive] for c in xy], ids[alive]
-            if hm is not None:
-                hm = hm[alive]
+            xy, ids, hm = [c[alive] for c in xy], ids[alive], hm[alive]
             moved_live = moved_live[alive]
             foreign_live = foreign_live[alive]
         if step == snap:
@@ -220,11 +210,11 @@ def _bins(direction: str, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def _lone_orbits(scenario: Scenario, t: float, n_steps: int,
                  x0: np.ndarray, y0: np.ndarray, home: np.ndarray,
-                 snap: int, flag_ends: bool, run: BatchRun) -> np.ndarray:
+                 snap: int, run: BatchRun) -> np.ndarray:
     """Pick out the samples that are lone orbits for n_steps steps, follow
     them as their home strip's applications in the engine would, and write
-    their end points, snapshots and flags (``flag_ends``: also steps that
-    start or end on a cut line) into ``run``; return the lone mask.
+    their end points, snapshots and ``moved`` flags into ``run``; return
+    the lone mask.
 
     The test may over-flag (a lone orbit left to the full engine costs
     only time) but never under-flags: a sample called lone is on no ramp
@@ -267,16 +257,11 @@ def _lone_orbits(scenario: Scenario, t: float, n_steps: int,
         xy, d = [x0[ids], y0[ids]], shift[ids]
         snapshot = list(xy)  # replaced at step snap
         hit = np.zeros(ids.size, dtype=bool)
-        ends = np.zeros(ids.size, dtype=bool)
         for step in range(n_steps):
             if not ids.size:
                 break
             for a in axes:
-                new = xy[a] + d
-                if flag_ends:
-                    nz, _, _, at_end = _crossings(xy[a], new)
-                    ends[nz[at_end]] = True
-                xy[a] = new
+                xy[a] = xy[a] + d
             for o, table in others:
                 hit |= table[_bins(o, *xy)]
             if step == snap:
@@ -285,11 +270,10 @@ def _lone_orbits(scenario: Scenario, t: float, n_steps: int,
             if 4 * np.count_nonzero(hit) > hit.size or step == n_steps - 1:
                 keep = ~hit
                 lone[ids[hit]] = False
-                ids, d, ends, hit = ids[keep], d[keep], ends[keep], hit[keep]
+                ids, d, hit = ids[keep], d[keep], hit[keep]
                 xy = [c[keep] for c in xy]
                 snapshot = [c[keep] for c in snapshot]
         run.moved[ids] = True
-        run.degenerate[ids] = ends
         run.x_end[ids], run.y_end[ids] = xy
         if snap >= 0:
             run.x_m[ids], run.y_m[ids] = snapshot

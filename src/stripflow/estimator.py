@@ -24,8 +24,7 @@ from . import batch
 from .counting import CountingQM, homogenized_tuple
 from .errors import ConfigError, DegenerateCrossing
 from .flow import flux_check, require_validity
-from .surface import (NUDGE, Scenario, StripSpec, closing_word,
-                      crossing_word, nudge_off_cut_lines)
+from .surface import NUDGE, Scenario, StripSpec, closing_word, crossing_word
 from .words import Word, cyclic_core, reduce_letters
 
 RETURN_TOL = 1e-9
@@ -97,7 +96,7 @@ def _ramp_points(strip: StripSpec, n: int, seed: int, strip_index: int):
     else:
         y = along
         x = strip.offset + h + y
-    return nudge_off_cut_lines((x, y))
+    return x, y
 
 
 def _ramp_scan(scenario: Scenario, x: np.ndarray, y: np.ndarray):
@@ -320,7 +319,7 @@ def rho_estimate(scenario: Scenario, q: CountingQM, K: int | None = None,
     value = 0.0
     variance = 0.0
     bad_area = 0.0
-    per_class: dict[str, tuple[float, float]] = {}
+    keys, sums = [], []  # per strip, its classes and their (area, contribution)
     total = 0
     for stats in chunk_stats:  # fixed strip order: reproducible reduction
         for s in stats:
@@ -329,13 +328,14 @@ def rho_estimate(scenario: Scenario, q: CountingQM, K: int | None = None,
             variance += (a * a / n) * s["var"]
             bad_area += a * s["bad_weight"] / n
             total += n
-            for key, (ca, cc) in s["per_class"].items():
-                pa, pc = per_class.get(key, (0.0, 0.0))
-                per_class[key] = (pa + ca, pc + cc)
+            keys += s["per_class"]
+            sums += s["per_class"].values()
+    sums = np.array(sums, dtype=float).reshape(-1, 2)
     return RhoEstimate(
         value=value,
         stderr=float(np.sqrt(variance)),
-        per_class=per_class,
+        per_class=_per_class(np.array(keys, dtype=object), sums[:, 0],
+                             sums[:, 1]),
         bad_area=bad_area,
         bad_contribution_bound=bad_area * bad_rate_bound(scenario),
         samples=total,
@@ -348,8 +348,7 @@ def iterate_word(scenario: Scenario, q: CountingQM, p: tuple[float, float],
     if K < 1:
         raise ValueError("K must be >= 1")
     m = scenario.m
-    x0, y0 = nudge_off_cut_lines((np.array([float(p[0])]),
-                                  np.array([float(p[1])])))
+    x0, y0 = np.array([float(p[0])]), np.array([float(p[1])])
     for attempt in range(NUDGE_RETRIES + 1):
         x, y = x0 + attempt * NUDGE, y0 + attempt * NUDGE
         run = batch.run_batch(scenario, scenario.tau, K, x, y,

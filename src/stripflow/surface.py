@@ -42,7 +42,8 @@ DIRECTION_VECTORS = {"H": (1.0, 0.0), "V": (0.0, 1.0), "D": (1.0, 1.0)}
 HOLE_CLEARANCE = {"H": 1.0, "V": 1.0, "D": 2.0}
 
 # A coordinate within CUT_LINE_TOL of an integer lies on a cut line and has
-# no exact crossing word; such points are moved by multiples of NUDGE.
+# no exact crossing word; a sample flagged for one is re-run from its start
+# plus k * NUDGE.
 CUT_LINE_TOL = 1e-12
 NUDGE = 1e-9
 
@@ -390,6 +391,8 @@ def build_scenario(N: int, T: float, m: int, hole_halfwidth: float,
     if phases is None:
         phases = (DEFAULT_PHASE_H, DEFAULT_PHASE_V, AUTO)
     phase_h, phase_v, phase_d = phases
+    if not all(math.isfinite(p) for p in phases if p != AUTO):
+        raise ValueError("phases must be finite")
     if phase_d == AUTO:
         phase_d = _auto_phase_d(N, T, phase_h, phase_v, hole_halfwidth)
     offsets = {"H": _grid_offsets(phase_h, N),
@@ -419,12 +422,6 @@ def near_cut_line(c):
     """The one cut-line test: is c within CUT_LINE_TOL of an integer?
     Works on floats and numpy arrays alike."""
     return np.abs(c - np.rint(c)) < CUT_LINE_TOL
-
-
-def nudge_off_cut_lines(p):
-    """Push a point, or a pair of coordinate arrays, off the cut lines by NUDGE."""
-    x, y = p
-    return x + NUDGE * near_cut_line(x), y + NUDGE * near_cut_line(y)
 
 
 def segment_crossings(p: tuple[float, float], q: tuple[float, float]):

@@ -32,9 +32,10 @@ def _push(out: list[int], codes: Iterable[int]) -> list[int]:
     return out
 
 
-def reduce_letters(raw: Iterable) -> tuple[int, ...]:
-    """Freely reduce a sequence of letter codes to a tuple of ints."""
-    return tuple(_push([], map(_as_int, raw)))
+def reduce_letters(raw: Iterable[int]) -> tuple[int, ...]:
+    """Freely reduce a sequence of valid int letter codes (the trusted
+    kernel: ``Word`` validates the letters that enter the program)."""
+    return tuple(_push([], raw))
 
 
 def cyclic_core(letters: tuple[int, ...]) -> tuple[int, ...]:
@@ -55,7 +56,8 @@ class Word:
         if _reduced:
             object.__setattr__(self, "letters", tuple(letters))
         else:
-            object.__setattr__(self, "letters", reduce_letters(letters))
+            object.__setattr__(self, "letters",
+                               reduce_letters(map(_as_int, letters)))
 
     def __setattr__(self, name, value):
         raise AttributeError("Word is immutable")

@@ -63,9 +63,10 @@ def test_run_batch_matches_reference(name, n_steps):
     scenario = build_scenario(hole_halfwidth=0.02, **SCENARIOS[name])
     tau = scenario.tau
     x0, y0 = _seeded_points(scenario, seed=n_steps)
-    run = run_batch(scenario, tau, n_steps, x0, y0, collect=True)
+    run = run_batch(scenario, tau, n_steps, x0, y0,
+                    _ramp_scan(scenario, x0, y0)[0], collect=True)
     assert not run.degenerate.any()
-    words = assemble_words(run, x0.size)
+    events = assemble_words(run, x0.size)
     for i in range(x0.size):
         p = (float(x0[i]), float(y0[i]))
         word = Word()
@@ -75,7 +76,7 @@ def test_run_batch_matches_reference(name, n_steps):
                 word = word * crossing_word(a, b)
         assert abs(run.x_end[i] - p[0]) <= 1e-12
         assert abs(run.y_end[i] - p[1]) <= 1e-12
-        assert Word(words.get(i, ())) == word
+        assert estimator._path_word(run, x0, y0, i, events) == word
 
 
 def test_run_batch_flags_end_point_on_cut_line():
@@ -83,7 +84,8 @@ def test_run_batch_flags_end_point_on_cut_line():
     # it; the end point has no closing word, so the sample must be flagged
     scenario = build_scenario(1, 0.05, 8, 0.02, smoothing=0.0)
     x0, y0 = np.array([1.125]), np.array([0.625])
-    run = run_batch(scenario, scenario.tau, 1, x0, y0, collect=True)
+    run = run_batch(scenario, scenario.tau, 1, x0, y0,
+                    _ramp_scan(scenario, x0, y0)[0], collect=True)
     assert (run.x_end[0], run.y_end[0]) == (1.0, 0.5)
     assert run.degenerate[0]
 
@@ -350,20 +352,43 @@ def test_fast_path_far_lifts():
                                 m_snapshot=16)
 
 
-def test_lone_step_onto_cut_line_is_flagged():
+def test_lone_step_onto_cut_line_is_not_flagged():
     # at N = 1 with the default layout the H ramp moves (0.5, 0.39) by
     # about 0.5 per step: the first step ends on x = 1 to within rounding,
-    # so its crossing parameter is 1 and both paths flag the lone orbit,
-    # though neither end point lies on a cut line
+    # but only its home strip moves the lone orbit, so it traces one
+    # straight segment and its end points alone decide its word
     scenario = build_scenario(1, 0.16, 16, 0.02)
     x0, y0, home = np.array([0.5]), np.array([0.39]), np.array([0])
     assert scenario.strips[0].direction == "H"
     run, lone = _fast_run(scenario, scenario.tau, 2, x0, y0, home=home,
                           collect=True)
     assert lone[0] and abs(run.x_end[0] - 1.5) < 1e-12
-    assert not near_cut_line(run.x_end[0])
-    assert run.degenerate[0]
+    assert not run.degenerate[0]
+    assert estimator._path_word(run, x0, y0, 0, {}) == Word.from_text("a")
     _assert_fast_path_exact(scenario, 2, x0, y0, home)
+
+
+# Samples on two ramps that a foreign strip moves, at N = 2 without
+# smoothing, where every ramp moves a point by 1/16 a step.  One move of
+# each starts or ends on a cut line, though neither end of its path does.
+@pytest.mark.parametrize("start,steps", [
+    # home H; the D ramp moves it by -(1/16, 1/16): its first step ends on
+    # x = 0 without crossing it, and its second crosses it at parameter 0
+    ((0.0625, 0.3115234375), 2),
+    # home V; the H ramp moves it once, then V moves it up: its second step
+    # crosses y = 1 at parameter 1, and its third starts there
+    ((0.3115234375, 0.875), 3),
+])
+def test_foreign_move_onto_cut_line_is_flagged(start, steps):
+    scenario = build_scenario(2, 0.08, 16, 0.02, smoothing=0.0)
+    x0, y0 = np.array([start[0]]), np.array([start[1]])
+    home = _ramp_scan(scenario, x0, y0)[0]
+    run, lone = _fast_run(scenario, scenario.tau, steps, x0, y0, home=home,
+                          collect=True)
+    assert not lone[0] and run.foreign[0] and run.degenerate[0]
+    assert not near_cut_line(np.concatenate(
+        [x0, y0, run.x_end, run.y_end])).any()
+    _assert_fast_path_exact(scenario, steps, x0, y0, home)
 
 
 def _event_oracle(scenario, q, K, x, y, home):

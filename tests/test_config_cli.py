@@ -247,6 +247,9 @@ BROKEN = {
     "unwritable_output": ("sweep", "output = {tmp}/missing/out.csv", 2,
                           "invalid_config"),
     "property_failure": ("props", "phase_D = 0.04", 4, "property_failure"),
+    "phase_H_inf": ("validate", "phase_H = inf", 2, "invalid_config"),
+    "phase_V_nan": ("validate", "phase_V = nan", 2, "invalid_config"),
+    "phase_D_nan": ("validate", "phase_D = nan", 2, "invalid_config"),
 }
 
 

@@ -9,10 +9,11 @@ from stripflow.counting import CountingQM, estimate_defect, homogenized
 from stripflow.errors import (ConfigError, DegenerateCrossing,
                               ValidityWindowExceeded)
 from stripflow.estimator import (NUDGE_RETRIES, RhoEstimate, deficiency,
+                                 _evaluate_batch, _evaluate_with_nudges,
                                  grid_estimate, iterate_word, rho_estimate,
                                  rho_predicted, _per_class, _ramp_points,
                                  _ramp_scan)
-from stripflow.surface import (HoledTorus, Scenario, build_scenario,
+from stripflow.surface import (NUDGE, HoledTorus, Scenario, build_scenario,
                                validate_scenario)
 from stripflow.words import Word
 
@@ -243,6 +244,27 @@ def test_rho_estimate_raises_on_persistent_degeneracy(monkeypatch):
     with pytest.raises(DegenerateCrossing):
         rho_estimate(s, AB, K=2 * s.m, samples_per_strip=50, workers=1)
     assert len(calls) == NUDGE_RETRIES + 1
+
+
+def test_start_on_cut_line_takes_its_nudged_run():
+    # the first sample starts on x = 1 on the H ramp: nothing nudges it in
+    # advance, the start-point rule flags it and the one retry re-runs it
+    # from start + NUDGE; the other samples keep their first run
+    s = _scenario()
+    x, y = _ramp_points(s.strips[0], 6, seed=3, strip_index=0)
+    x[0] = 1.0
+    home = np.zeros(x.size, dtype=np.int64)
+    first = _evaluate_batch(s, AB, 2 * s.m, x, y, home)
+    assert first[3].tolist() == [True] + [False] * 5
+    nudged = _evaluate_batch(s, AB, 2 * s.m, x[:1] + NUDGE, y[:1] + NUDGE,
+                             home[:1])
+    assert not nudged[3][0] and nudged[1][0] == 1
+    values, kinds, keys = _evaluate_with_nudges(s, AB, 2 * s.m, x, y, home)
+    expected = [np.concatenate([a[:1], b[1:]])
+                for a, b in zip(nudged[:3], first[:3])]
+    assert values.tobytes() == expected[0].tobytes()
+    assert kinds.tolist() == expected[1].tolist()
+    assert keys.tolist() == expected[2].tolist()
 
 
 def test_grid_estimate_retry_replaces_class_keys(monkeypatch):

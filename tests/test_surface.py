@@ -8,9 +8,9 @@ import pytest
 from stripflow.errors import DegenerateCrossing, InfeasibleScenario
 from stripflow.surface import (HoledTorus, Scenario, StripSpec, build_scenario,
                                closing_word, crossing_word, frac,
-                               nudge_off_cut_lines, scenario_from_text,
-                               scenario_to_text, segment_crossings,
-                               validate_scenario, _segment_hits_hole)
+                               scenario_from_text, scenario_to_text,
+                               segment_crossings, validate_scenario,
+                               _segment_hits_hole)
 from stripflow.words import Word
 
 
@@ -224,12 +224,6 @@ def test_winding_consistency():
         wind_b = sum(1 if c == 2 else -1 for _, c in events if abs(c) == 2)
         assert wind_a == math.floor(q[0]) - math.floor(p[0])
         assert wind_b == math.floor(q[1]) - math.floor(p[1])
-
-
-def test_nudge_off_cut_lines():
-    x, y = nudge_off_cut_lines((1.0, 0.5))
-    assert x != 1.0 and y == 0.5
-    crossing_word((x, y), (x + 0.4, y))  # no longer degenerate
 
 
 def test_serialization_round_trip():
