@@ -23,7 +23,8 @@ import numpy as np
 from . import batch
 from .counting import CountingQM, homogenized_tuple
 from .errors import ConfigError, DegenerateCrossing
-from .flow import flux_check, require_validity
+from .flow import (cell_centers, flux_check, require_grid_sizes,
+                   require_validity)
 from .surface import NUDGE, Scenario, StripSpec, closing_word, crossing_word
 from .words import Word, cyclic_core, reduce_letters
 
@@ -200,30 +201,31 @@ def _evaluate_batch(scenario: Scenario, q: CountingQM, K: int,
     return values, kinds, keys, run.degenerate
 
 
+def _nudged(evaluate, x, y, *rest):
+    """Run ``evaluate(x, y, *rest)`` (per-sample outputs, the last flagging
+    the degenerate samples) and re-run those from start + k * NUDGE, k = 1..
+    NUDGE_RETRIES, each taking the outputs of its nudged run.  Raises
+    DegenerateCrossing if samples stay degenerate."""
+    *out, degenerate = evaluate(x, y, *rest)
+    idx = np.nonzero(degenerate)[0]
+    for k in range(1, NUDGE_RETRIES + 1):
+        if not idx.size:
+            break
+        *res, degenerate = evaluate(x[idx] + k * NUDGE, y[idx] + k * NUDGE,
+                                    *(r[idx] for r in rest))
+        for a, b in zip(out, res):
+            a[idx] = b
+        idx = idx[degenerate]
+    if idx.size:
+        raise DegenerateCrossing(
+            f"degenerate samples persisted after {NUDGE_RETRIES} nudges")
+    return out
+
+
 def _evaluate_with_nudges(scenario: Scenario, q: CountingQM, K: int,
                           x: np.ndarray, y: np.ndarray, home: np.ndarray):
-    """_evaluate_batch, re-running degenerate samples from start + k * NUDGE.
-
-    A re-run sample takes the values, kind and class key of its nudged
-    run.  Raises DegenerateCrossing if samples stay degenerate after
-    NUDGE_RETRIES nudges.
-    """
-    values, kinds, keys, degenerate = _evaluate_batch(
-        scenario, q, K, x, y, home)
-    attempt = 0
-    while degenerate.any():
-        if attempt >= NUDGE_RETRIES:
-            raise DegenerateCrossing(
-                f"degenerate samples persisted after {NUDGE_RETRIES} nudges")
-        attempt += 1
-        idx = np.nonzero(degenerate)[0]
-        shift = attempt * NUDGE
-        v2, k2, c2, d2 = _evaluate_batch(
-            scenario, q, K, x[idx] + shift, y[idx] + shift, home[idx])
-        values[idx], kinds[idx], keys[idx] = v2, k2, c2
-        degenerate = np.zeros_like(degenerate)
-        degenerate[idx[d2]] = True
-    return values, kinds, keys
+    """_evaluate_batch under ``_nudged``: values, kinds and class keys."""
+    return _nudged(lambda *a: _evaluate_batch(scenario, q, K, *a), x, y, home)
 
 
 def _checked_K(scenario: Scenario, K: int | None) -> int:
@@ -290,8 +292,7 @@ def rho_estimate(scenario: Scenario, q: CountingQM, K: int | None = None,
     result is reproducible and independent of worker partitioning.
     """
     K = _checked_K(scenario, K)
-    if samples_per_strip < 1:
-        raise ValueError("samples_per_strip must be >= 1")
+    require_grid_sizes(samples_per_strip=samples_per_strip)
     if workers is None:
         raw = os.environ.get("STRIPFLOW_WORKERS", "1")
         try:
@@ -348,17 +349,15 @@ def iterate_word(scenario: Scenario, q: CountingQM, p: tuple[float, float],
     if K < 1:
         raise ValueError("K must be >= 1")
     m = scenario.m
-    x0, y0 = np.array([float(p[0])]), np.array([float(p[1])])
-    for attempt in range(NUDGE_RETRIES + 1):
-        x, y = x0 + attempt * NUDGE, y0 + attempt * NUDGE
+
+    def walk(x, y):
         run = batch.run_batch(scenario, scenario.tau, K, x, y,
                               home=_ramp_scan(scenario, x, y)[0], collect=True,
                               m_snapshot=m)
-        if not run.degenerate[0]:
-            break
-    else:
-        raise DegenerateCrossing(f"point {p} degenerate after retries")
+        return x, y, np.array([run], dtype=object), run.degenerate
 
+    x, y, (run,) = _nudged(walk, np.array([float(p[0])]),
+                           np.array([float(p[1])]))
     p = (float(x[0]), float(y[0]))
     end = (float(run.x_end[0]), float(run.y_end[0]))
     events = batch.assemble_words(run, 1) if run.foreign[0] else {}
@@ -382,9 +381,8 @@ def grid_estimate(scenario: Scenario, q: CountingQM, K: int | None = None,
     independent cross-check for rho_estimate.
     """
     K = _checked_K(scenario, K)
-    xs = (np.arange(grid) + 0.5) / grid
-    gx, gy = np.meshgrid(xs, xs, indexing="ij")
-    gx, gy = gx.ravel(), gy.ravel()
+    require_grid_sizes(grid=grid)
+    gx, gy = cell_centers(grid)
     home = _ramp_scan(scenario, gx, gy)[0]
     sel = np.nonzero(home >= 0)[0]
     values, kinds, keys = _evaluate_with_nudges(

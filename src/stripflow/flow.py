@@ -10,10 +10,13 @@ first).
 ``Profile``, ``strip_profile``, ``apply_strip`` and ``apply_composed`` are
 the scalar reference the vectorized engine in ``batch`` is checked against;
 ``apply_composed_inverse`` runs the composition backwards.
-``generator_value`` evaluates the composition's generating function through
-the pullback chain in the plane lift, which carries the winding bookkeeping
-for free.  One pass of generator grids feeds ``hofer_upper_bound`` and
-``calabi``; ``calabi_region_decomposition`` gives Calabi in closed form.
+``_generator_fold`` runs the pullback chain of the composition's generating
+function in the plane lift, which carries the winding bookkeeping for free;
+``generator_value`` reads it at one point.  One series of generator grids
+feeds ``hofer_upper_bound`` and ``calabi``: the grid is folded once, and per
+time node only its points on some ramp are folded again.  That is exact, as
+a point on no ramp is never moved, so its terms do not depend on t.
+``calabi_region_decomposition`` gives Calabi in closed form.
 ``flux_check`` and ``per_copy_flux`` (defined in ``surface``, which
 validates with it) certify that the composition is Hamiltonian.
 """
@@ -121,28 +124,38 @@ def _profile_lift(strip: StripSpec, s):
                                  0.0, 1.0)
 
 
-def _generator_on_arrays(scenario: Scenario, t: float, x, y):
-    """Generating function G(t) at lifted points via the pullback chain.
+def _generator_fold(scenario: Scenario, t: float, x, y):
+    """The pullback chain on lifted points: the un-normalized generating
+    function G(t) and the mask of the points some strip met on its ramp.
 
     Term j is the j-th strip Hamiltonian composed with the inverses of the
     maps of strips 0..j-1 (those act after it in the composition); working
     in the plane lift keeps every term single valued, and zero total flux
-    makes the sum descend to the torus.  Normalized to vanish at (0, 0),
-    i.e. on the hole's plateau.
+    makes the sum descend to the torus.  A point no strip meets on its ramp
+    is never moved, so its terms do not depend on t.
     """
-    x = np.append(np.asarray(x, dtype=float), 0.0)
-    y = np.append(np.asarray(y, dtype=float), 0.0)
     g = np.zeros_like(x)
+    met = np.zeros(x.shape, dtype=bool)
     for strip in scenario.strips:
         # d is this strip's inverse time-t displacement: it advances the chain
-        s, _, d = strip.shear(x, y, -t)
+        s, on_ramp, d = strip.shear(x, y, -t)
         g += _HAMILTONIAN_SIGN[strip.direction] * strip.orientation \
             * _profile_lift(strip, s)
+        met |= on_ramp
         vx, vy = DIRECTION_VECTORS[strip.direction]
         if vx:
             x = x + d
         if vy:
             y = y + d
+    return g, met
+
+
+def _generator_on_arrays(scenario: Scenario, t: float, x, y):
+    """G(t) at lifted points, normalized to vanish at (0, 0), i.e. on the
+    hole's plateau."""
+    x = np.append(np.asarray(x, dtype=float), 0.0)
+    y = np.append(np.asarray(y, dtype=float), 0.0)
+    g = _generator_fold(scenario, t, x, y)[0]
     return g[:-1] - g[-1]
 
 
@@ -151,10 +164,23 @@ def generator_value(scenario: Scenario, t: float, p: tuple[float, float]) -> flo
     return float(_generator_on_arrays(scenario, t, [p[0]], [p[1]])[0])
 
 
-def _generator_grid(scenario: Scenario, t: float, n: int):
+def require_grid_sizes(**sizes: int):
+    """Raise ValueError unless every named grid size is at least 1."""
+    for name, n in sizes.items():
+        if n < 1:
+            raise ValueError(f"{name} must be >= 1")
+
+
+def cell_centers(n: int):
+    """The n x n grid of cell centers of the unit square, raveled (x, y)."""
     xs = (np.arange(n) + 0.5) / n
     gx, gy = np.meshgrid(xs, xs, indexing="ij")
-    return _generator_on_arrays(scenario, t, gx.ravel(), gy.ravel())
+    return gx.ravel(), gy.ravel()
+
+
+def _generator_grid(scenario: Scenario, t: float, n: int):
+    """G(t) on the n x n grid, one full fold: the reference for the series."""
+    return _generator_on_arrays(scenario, t, *cell_centers(n))
 
 
 # -- validity window, Hofer bound, Calabi --------------------------------------
@@ -195,11 +221,23 @@ class HoferBound:
 def _generator_series(scenario: Scenario, tau: float, time_samples: int,
                       space_samples: int):
     """Per midpoint time node, the oscillation and the mean of the generator
-    on one space grid; the sweep asks for both in turn, so the last is kept."""
+    on one space grid; the sweep asks for both in turn, so the last is kept.
+
+    The grid, with (0, 0) last, is folded once at t = 0, where nothing
+    moves; per node only the points on some ramp there (and the origin)
+    are folded again.  The rest are never moved, so their sums are the
+    t = 0 ones bit for bit, and every node equals ``_generator_grid``.
+    """
+    gx, gy = (np.append(c, 0.0) for c in cell_centers(space_samples))
+    base, ramp = _generator_fold(scenario, 0.0, gx, gy)
+    ramp[-1] = True
+    rx, ry = gx[ramp], gy[ramp]
     oscs, means = [], []
     for i in range(time_samples):
-        g = _generator_grid(scenario, (i + 0.5) / time_samples * tau,
-                            space_samples)
+        raw = base.copy()
+        raw[ramp] = _generator_fold(
+            scenario, (i + 0.5) / time_samples * tau, rx, ry)[0]
+        g = raw[:-1] - raw[-1]
         oscs.append(float(g.max() - g.min()))
         means.append(float(g.mean()))
     return tuple(oscs), tuple(means)
@@ -213,6 +251,7 @@ def hofer_upper_bound(scenario: Scenario, tau: float, time_samples: int = 8,
     space grid; analytic = 2 * K * tau with K the combinatorial per-copy
     oscillation bound.  Raises ValidityWindowExceeded outside the window.
     """
+    require_grid_sizes(time_samples=time_samples, space_samples=space_samples)
     require_validity(scenario, tau)
     if not scenario.strips:
         return HoferBound(0.0, 0.0, 0.0, ())
@@ -233,6 +272,7 @@ def calabi(scenario: Scenario, tau: float, time_samples: int = 8,
     The hole plateau is normalized to zero, so integrating over the full
     square equals integrating over the surface.
     """
+    require_grid_sizes(time_samples=time_samples, space_samples=space_samples)
     require_validity(scenario, tau)
     if not scenario.strips:
         return 0.0

@@ -15,7 +15,7 @@ from stripflow.flow import (HoferBound, Profile, apply_composed,
 from stripflow.surface import (HoledTorus, Scenario, StripSpec, build_scenario,
                                validate_scenario)
 from stripflow.counting import CountingQM
-from stripflow.estimator import rho_estimate
+from stripflow.estimator import grid_estimate, rho_estimate
 
 
 def _scenario(N=1, T=0.16, m=16, **kw):
@@ -172,25 +172,54 @@ def test_hofer_bound_stable_under_doubling_N():
 
 
 def test_hofer_and_calabi_share_one_generator_pass(monkeypatch):
-    calls = []
+    # the series folds the full grid once and then only its ramp points,
+    # yet every node equals a full fold of that node's grid bit for bit
+    n, time_samples = 90, 4
+    full_folds = []
+    real_fold = flow._generator_fold
 
-    def counted(scenario, t, n):
-        calls.append(t)
-        return _generator_grid(scenario, t, n)
+    def counted(scenario, t, x, y):
+        if x.size == n * n + 1:
+            full_folds.append(t)
+        return real_fold(scenario, t, x, y)
 
-    monkeypatch.setattr(flow, "_generator_grid", counted)
+    monkeypatch.setattr(flow, "_generator_fold", counted)
     flow._generator_series.cache_clear()
-    s = _scenario()
-    bound = hofer_upper_bound(s, s.tau, time_samples=4, space_samples=120)
-    cal = calabi(s, s.tau, time_samples=4, space_samples=120)
-    assert len(calls) == 4
-    # the same numbers as one grid per node computed afresh
-    grids = [_generator_grid(s, t, 120) for t in calls]
-    assert bound.oscillations == tuple(float(g.max() - g.min()) for g in grids)
-    assert cal == s.tau * float(np.mean([float(g.mean()) for g in grids]))
-    # other arguments compute a new series
-    calabi(s, s.tau, time_samples=2, space_samples=120)
-    assert len(calls) == 6
+    for N, kw in [(1, {}), (2, {}), (1, {"ramp_fraction": 1.0}),
+                  (2, {"ramp_fraction": 1.0}), (1, {"smoothing": 0.0}),
+                  (2, {"smoothing": 0.0})]:
+        full_folds.clear()
+        s = _scenario(N=N, T=0.16 / N, m=16 * N, **kw)
+        bound = hofer_upper_bound(s, s.tau, time_samples=time_samples,
+                                  space_samples=n)
+        cal = calabi(s, s.tau, time_samples=time_samples, space_samples=n)
+        assert full_folds == [0.0]
+        grids = [_generator_grid(s, (i + 0.5) / time_samples * s.tau, n)
+                 for i in range(time_samples)]
+        assert [o.hex() for o in bound.oscillations] == \
+            [float(g.max() - g.min()).hex() for g in grids]
+        means = [float(g.mean()) for g in grids]
+        assert cal.hex() == (s.tau * float(np.mean(means))).hex()
+        # other arguments compute a new series
+        full_folds.clear()
+        calabi(s, s.tau, time_samples=2, space_samples=n)
+        assert full_folds == [0.0]
+
+
+@pytest.mark.parametrize("call", [
+    lambda s: hofer_upper_bound(s, s.tau, time_samples=0),
+    lambda s: hofer_upper_bound(s, s.tau, time_samples=-1),
+    lambda s: hofer_upper_bound(s, s.tau, space_samples=0),
+    lambda s: calabi(s, s.tau, time_samples=0),
+    lambda s: calabi(s, s.tau, time_samples=-1),
+    lambda s: calabi(s, s.tau, space_samples=0),
+    lambda s: grid_estimate(s, CountingQM.from_text("ab"), grid=0),
+    lambda s: grid_estimate(s, CountingQM.from_text("ab"), grid=-3),
+], ids=["hofer-time-0", "hofer-time-neg", "hofer-space-0", "calabi-time-0",
+        "calabi-time-neg", "calabi-space-0", "grid-0", "grid-neg"])
+def test_grid_sizes_below_one_are_rejected(call):
+    with pytest.raises(ValueError, match="must be >= 1"):
+        call(_scenario())
 
 
 def test_zero_strip_scenario():
