@@ -25,11 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .surface import (CUT_LINE_TOL, DIRECTION_VECTORS, DIRECTIONS, Scenario,
+from .surface import (CUT_LINE_TOL, DIRECTION_AXES, DIRECTIONS, Scenario,
                       frac, near_cut_line, transverse_lift)
-
-# the coordinates (0 = x, 1 = y) that a strip of each direction moves
-_AXES = {d: [i for i in (0, 1) if v[i]] for d, v in DIRECTION_VECTORS.items()}
 
 
 @dataclass
@@ -142,7 +139,7 @@ def _run_engine(scenario: Scenario, t: float, n_steps: int,
     moved_live = np.zeros(ids.size, dtype=bool)
     foreign_live = np.zeros(ids.size, dtype=bool)
     # acting order: last listed strip acts first
-    acting = [(si, strips[si], _AXES[strips[si].direction])
+    acting = [(si, strips[si], DIRECTION_AXES[strips[si].direction])
               for si in reversed(range(n_strips))]
 
     for step in range(n_steps):
@@ -252,7 +249,7 @@ def _lone_orbits(scenario: Scenario, t: float, n_steps: int,
     busy = {d: owner != -1 for d, owner in owners.items()}
     for code, direction in enumerate(DIRECTIONS):
         ids = np.nonzero(lone & (moving_family == code))[0]
-        axes = _AXES[direction]
+        axes = DIRECTION_AXES[direction]
         others = [(o, busy[o]) for o in DIRECTIONS if o != direction]
         xy, d = [x0[ids], y0[ids]], shift[ids]
         snapshot = list(xy)  # replaced at step snap

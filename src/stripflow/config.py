@@ -16,7 +16,8 @@ from pathlib import Path
 
 from .errors import ConfigError
 from .surface import (AUTO, DEFAULT_PHASE_H, DEFAULT_PHASE_V,
-                      DEFAULT_RAMP_FRACTION, Scenario, build_scenario)
+                      DEFAULT_RAMP_FRACTION, Scenario, build_scenario,
+                      document_lines)
 from .words import Word
 
 DEFAULT_SEED = 20260809
@@ -150,13 +151,9 @@ def _config(fields: dict) -> ExperimentConfig:
 
 def config_from_text(text: str) -> ExperimentConfig:
     fields: dict = {}
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
+    for raw, key, value in document_lines(text):
+        if key is None:
             raise ConfigError(f"unparseable config line {raw!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
         tokens = value.split()
         if not tokens:
             raise ConfigError(f"empty value for {key!r}")

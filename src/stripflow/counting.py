@@ -54,24 +54,16 @@ def brooks_tuple(pattern: tuple[int, ...], inv_pattern: tuple[int, ...],
 
 
 def homogenized_tuple(pattern: tuple[int, ...], letters: tuple[int, ...]) -> float:
-    """Exact homogenized value on a reduced letter tuple."""
+    """Exact homogenized value on a reduced letter tuple: the Brooks count
+    over the occurrences that start in one period of the periodic word,
+    i.e. in its first period + len(pattern) - 1 letters."""
     core = cyclic_core(letters)
     if not core:
         return 0.0
     period = len(core)
-    copies = 1
-    while copies * period < len(pattern) + period:
-        copies += 1
-    text = core * copies
+    window = (core * (len(pattern) // period + 2))[:period + len(pattern) - 1]
     inv = tuple(-c for c in reversed(pattern))
-    p = len(pattern)
-    count = 0
-    for i in range(period):
-        if text[i:i + p] == pattern:
-            count += 1
-        if text[i:i + p] == inv:
-            count -= 1
-    return float(count)
+    return float(brooks_tuple(pattern, inv, window))
 
 
 # -- public operations -----------------------------------------------------

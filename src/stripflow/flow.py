@@ -8,11 +8,12 @@ scenario map is the ordered composition of all strip maps (last listed acts
 first).
 
 ``Profile``, ``strip_profile``, ``apply_strip`` and ``apply_composed`` are
-the scalar reference the vectorized engine in ``batch`` is checked against;
-``apply_composed_inverse`` runs the composition backwards.
-``_generator_fold`` runs the pullback chain of the composition's generating
-function in the plane lift, which carries the winding bookkeeping for free;
-``generator_value`` reads it at one point.  One series of generator grids
+the scalar reference the vectorized engine in ``batch`` is checked against.
+``_generator_fold`` is the one pullback chain: it runs the inverse strip
+maps in the plane lift, which carries the winding bookkeeping for free, and
+sums the composition's generating function along the way.
+``apply_composed_inverse`` reads the pulled-back point off it and
+``generator_value`` the generator at one point.  One series of generator grids
 feeds ``hofer_upper_bound`` and ``calabi``: the grid is folded once, and per
 time node only its points on some ramp are folded again.  That is exact, as
 a point on no ramp is never moved, so its terms do not depend on t.
@@ -28,8 +29,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidityWindowExceeded
-from .surface import (DIRECTION_VECTORS, Scenario, StripSpec,  # noqa: F401
-                      frac, per_copy_flux)
+from .surface import (DIRECTION_AXES, DIRECTION_VECTORS,  # noqa: F401
+                      TRANSVERSE_GRADIENT, Scenario, StripSpec, frac,
+                      per_copy_flux)
 
 # Sign of each strip's contribution to the generating function: the strip
 # Hamiltonian is +sigma*c(h) for H strips and -sigma*c(h) for V and D strips
@@ -107,12 +109,8 @@ def apply_composed(scenario: Scenario, t: float, p: tuple[float, float]):
 
 def apply_composed_inverse(scenario: Scenario, t: float, p: tuple[float, float]):
     """Inverse of apply_composed: reverse order, shears run backwards."""
-    x, y = p
-    for strip in scenario.strips:
-        _, _, d = strip.shear(x, y, -t)
-        vx, vy = DIRECTION_VECTORS[strip.direction]
-        x, y = x + d * vx, y + d * vy
-    return (x, y)
+    x, y = _generator_fold(scenario, t, np.array([p[0]]), np.array([p[1]]))[2]
+    return (float(x[0]), float(y[0]))
 
 
 # -- generating function -------------------------------------------------------
@@ -126,7 +124,8 @@ def _profile_lift(strip: StripSpec, s):
 
 def _generator_fold(scenario: Scenario, t: float, x, y):
     """The pullback chain on lifted points: the un-normalized generating
-    function G(t) and the mask of the points some strip met on its ramp.
+    function G(t), the mask of the points some strip met on its ramp, and
+    the points pulled back by the inverse time-t map as [x, y].
 
     Term j is the j-th strip Hamiltonian composed with the inverses of the
     maps of strips 0..j-1 (those act after it in the composition); working
@@ -136,18 +135,16 @@ def _generator_fold(scenario: Scenario, t: float, x, y):
     """
     g = np.zeros_like(x)
     met = np.zeros(x.shape, dtype=bool)
+    xy = [x, y]
     for strip in scenario.strips:
         # d is this strip's inverse time-t displacement: it advances the chain
-        s, on_ramp, d = strip.shear(x, y, -t)
+        s, on_ramp, d = strip.shear(*xy, -t)
         g += _HAMILTONIAN_SIGN[strip.direction] * strip.orientation \
             * _profile_lift(strip, s)
         met |= on_ramp
-        vx, vy = DIRECTION_VECTORS[strip.direction]
-        if vx:
-            x = x + d
-        if vy:
-            y = y + d
-    return g, met
+        for a in DIRECTION_AXES[strip.direction]:
+            xy[a] = xy[a] + d
+    return g, met, xy
 
 
 def _generator_on_arrays(scenario: Scenario, t: float, x, y):
@@ -229,7 +226,7 @@ def _generator_series(scenario: Scenario, tau: float, time_samples: int,
     t = 0 ones bit for bit, and every node equals ``_generator_grid``.
     """
     gx, gy = (np.append(c, 0.0) for c in cell_centers(space_samples))
-    base, ramp = _generator_fold(scenario, 0.0, gx, gy)
+    base, ramp, _ = _generator_fold(scenario, 0.0, gx, gy)
     ramp[-1] = True
     rx, ry = gx[ramp], gy[ramp]
     oscs, means = [], []
@@ -280,9 +277,6 @@ def calabi(scenario: Scenario, tau: float, time_samples: int = 8,
     return tau * float(np.mean(means))
 
 
-_TRANSVERSE_GRADIENT = {"H": (0.0, 1.0), "V": (1.0, 0.0), "D": (1.0, -1.0)}
-
-
 def generator_drift_rate(scenario: Scenario) -> float:
     """Exact d/dt of the surface integral of G(t).
 
@@ -294,7 +288,7 @@ def generator_drift_rate(scenario: Scenario) -> float:
     rate = 0.0
     strips = scenario.strips
     for j, sj in enumerate(strips):
-        gj = _TRANSVERSE_GRADIENT[sj.direction]
+        gj = TRANSVERSE_GRADIENT[sj.direction]
         sign_j = _HAMILTONIAN_SIGN[sj.direction] * sj.orientation
         for si in strips[:j]:
             di = DIRECTION_VECTORS[si.direction]

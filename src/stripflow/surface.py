@@ -22,7 +22,10 @@ In its shear chart every strip is a band of width ``width`` over a core
 loop of unit length, so width = area = traversal period of the full-band
 profile.  Each torus rule is written once here: ``frac`` reduces mod 1,
 ``near_cut_line`` tests for a cut line, ``clears_hole`` tests a band
-against the hole and ``per_copy_flux`` sums the flux.
+against the hole and ``per_copy_flux`` sums the flux.  The per-direction
+tables live here too (the move vector, the coordinates it moves, the hole
+clearance and the gradient of ``transverse_lift``), as does
+``document_lines``, the one reader of ``key = value`` documents.
 """
 from __future__ import annotations
 
@@ -37,6 +40,11 @@ from .words import Word
 
 DIRECTIONS = ("H", "V", "D")
 DIRECTION_VECTORS = {"H": (1.0, 0.0), "V": (0.0, 1.0), "D": (1.0, 1.0)}
+# the coordinates (0 = x, 1 = y) that a strip of each direction moves
+DIRECTION_AXES = {d: [i for i in (0, 1) if v[i]]
+                  for d, v in DIRECTION_VECTORS.items()}
+# the gradient of transverse_lift: y (H), x (V), x - y (D)
+TRANSVERSE_GRADIENT = {"H": (0.0, 1.0), "V": (1.0, 0.0), "D": (1.0, -1.0)}
 # Hole clearance required of the transverse band, in units of hole_halfwidth:
 # the hole projects to |y| < hh, |x| < hh and |x - y| < 2 hh.
 HOLE_CLEARANCE = {"H": 1.0, "V": 1.0, "D": 2.0}
@@ -365,28 +373,32 @@ def _auto_phase_d(N: int, T: float, phase_h: float, phase_v: float,
         "hole clearance")
 
 
-def build_scenario(N: int, T: float, m: int, hole_halfwidth: float,
-                   phases: tuple[float, float, float | str] | None = None,
-                   ramp_fraction: float = DEFAULT_RAMP_FRACTION,
-                   smoothing: float | None = None) -> Scenario:
-    """Place 3N strips (one H, V, D per copy) and validate the layout.
-
-    Offsets are arithmetic 1/N grids with per-direction phases; phase_D
-    may be ``"auto"``.  ``smoothing`` overrides the default
-    ramp_fraction rule (smoothing = width * (1 - ramp_fraction) / 2).
-    Raises InfeasibleScenario when the constraints cannot be met.
-    """
+def require_scenario_ranges(N: int, T: float, m: int):
+    """Raise ValueError unless N >= 1, 0 < T <= 1/(4N) and m >= 1."""
     if N < 1:
         raise ValueError("N must be >= 1")
     if not 0.0 < T <= 1.0 / (4 * N):
         raise ValueError("need 0 < T <= 1/(4N) to fit 3N strips and the hole")
     if m < 1:
         raise ValueError("m must be >= 1")
+
+
+def build_scenario(N: int, T: float, m: int, hole_halfwidth: float,
+                   phases: tuple[float, float, float | str] | None = None,
+                   ramp_fraction: float = DEFAULT_RAMP_FRACTION) -> Scenario:
+    """Place 3N strips (one H, V, D per copy) and validate the layout.
+
+    Offsets are arithmetic 1/N grids with per-direction phases; phase_D
+    may be ``"auto"``.  Each ramp is ``ramp_fraction`` of its strip, so
+    smoothing = width * (1 - ramp_fraction) / 2.  Raises ValueError for
+    out-of-range arguments and InfeasibleScenario when the constraints
+    cannot be met.
+    """
+    require_scenario_ranges(N, T, m)
     surface = HoledTorus(hole_halfwidth)
-    if smoothing is None:
-        if not 0.0 < ramp_fraction <= 1.0:
-            raise ValueError("ramp_fraction must lie in (0, 1]")
-        smoothing = T * (1.0 - ramp_fraction) / 2.0
+    if not 0.0 < ramp_fraction <= 1.0:
+        raise ValueError("ramp_fraction must lie in (0, 1]")
+    smoothing = T * (1.0 - ramp_fraction) / 2.0
 
     if phases is None:
         phases = (DEFAULT_PHASE_H, DEFAULT_PHASE_V, AUTO)
@@ -560,16 +572,26 @@ def scenario_to_text(scenario: Scenario) -> str:
     return "\n".join(lines) + "\n"
 
 
-def scenario_from_text(text: str) -> Scenario:
-    fields: dict[str, str] = {}
-    strip_rows = []
+def document_lines(text: str):
+    """The one reader of ``key = value`` documents: per line that is not
+    blank once its ``#`` comment is cut, yield (raw line, key, value) with
+    key and value stripped, or (raw line, None, None) for a line without
+    ``=``, which each caller rejects with its own error."""
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
+        if line:
+            key, eq, value = line.partition("=")
+            yield (raw, key.strip(), value.strip()) if eq else (raw, None, None)
+
+
+def scenario_from_text(text: str) -> Scenario:
+    """Parse and validate a scenario document; every malformed document
+    raises InfeasibleScenario."""
+    fields: dict[str, str] = {}
+    strip_rows = []
+    for raw, key, value in document_lines(text):
+        if key is None:
             raise InfeasibleScenario(f"unparseable scenario line: {raw!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
         if key == "strip":
             strip_rows.append(value.split())
         else:
@@ -578,17 +600,19 @@ def scenario_from_text(text: str) -> Scenario:
         N = int(fields["N"])
         T = float(fields["T"])
         m = int(fields["m"])
-        hh = float(fields["hole_halfwidth"])
+        surface = HoledTorus(float(fields["hole_halfwidth"]))
+        require_scenario_ranges(N, T, m)
+        strips = []
+        for row in strip_rows:
+            if len(row) != 5:
+                raise InfeasibleScenario(f"strip row needs 5 fields, got {row}")
+            strips.append(StripSpec(
+                direction=row[0], offset=float(row[1]), width=float(row[2]),
+                orientation=int(row[3]), smoothing=float(row[4]),
+                copy_id=len(strips) // 3))
     except KeyError as exc:
         raise InfeasibleScenario(f"scenario document missing field {exc}") from exc
-    strips = []
-    for row in strip_rows:
-        if len(row) != 5:
-            raise InfeasibleScenario(f"strip row needs 5 fields, got {row}")
-        direction = row[0]
-        copy_id = len(strips) // 3
-        strips.append(StripSpec(
-            direction=direction, offset=float(row[1]), width=float(row[2]),
-            orientation=int(row[3]), smoothing=float(row[4]), copy_id=copy_id))
-    scenario = Scenario(surface=HoledTorus(hh), strips=tuple(strips), N=N, T=T, m=m)
+    except ValueError as exc:
+        raise InfeasibleScenario(f"bad scenario document: {exc}") from exc
+    scenario = Scenario(surface=surface, strips=tuple(strips), N=N, T=T, m=m)
     return scenario.with_validation(validate_scenario(scenario))

@@ -81,13 +81,8 @@ class Word:
         return Word(tuple(-c for c in reversed(self.letters)), _reduced=True)
 
     def __pow__(self, k: int) -> "Word":
-        if k == 0:
-            return Word()
-        base = self if k > 0 else self.inverse()
-        out = base
-        for _ in range(abs(k) - 1):
-            out = out * base
-        return out
+        base = self if k >= 0 else self.inverse()
+        return Word(reduce_letters(base.letters * abs(k)), _reduced=True)
 
     def cyclic_reduce(self) -> tuple["Word", "Word"]:
         """Return (core, conjugator) with self == conjugator * core * conjugator^-1."""

@@ -82,7 +82,7 @@ def test_run_batch_matches_reference(name, n_steps):
 def test_run_batch_flags_end_point_on_cut_line():
     # one D-strip step moves (1.125, 0.625) down onto x = 1 without crossing
     # it; the end point has no closing word, so the sample must be flagged
-    scenario = build_scenario(1, 0.05, 8, 0.02, smoothing=0.0)
+    scenario = build_scenario(1, 0.05, 8, 0.02, ramp_fraction=1.0)
     x0, y0 = np.array([1.125]), np.array([0.625])
     run = run_batch(scenario, scenario.tau, 1, x0, y0,
                     _ramp_scan(scenario, x0, y0)[0], collect=True)
@@ -252,7 +252,7 @@ def test_fast_path_matches_full_engine_options(collect, compact_fixed,
 
 
 def test_fast_path_without_smoothing():
-    scenario = build_scenario(1, 0.05, 8, 0.02, smoothing=0.0)
+    scenario = build_scenario(1, 0.05, 8, 0.02, ramp_fraction=1.0)
     x0, y0, home = _sample_batch(scenario, 300, seed=11)
     assert _lone_count(scenario, 32, x0, y0, home) > 0
     _assert_fast_path_exact(scenario, 32, x0, y0, home, m_snapshot=8)
@@ -287,12 +287,9 @@ def _edge_points(scenario, rng, offsets):
     return np.concatenate(xs), np.concatenate(ys), np.concatenate(homes)
 
 
-@pytest.mark.parametrize("name", ["N2", "N2-full-ramp", "smoothing-0"])
+@pytest.mark.parametrize("name", ["N2", "N2-full-ramp"])
 def test_fast_path_at_band_and_ramp_edges(name):
-    if name == "smoothing-0":
-        scenario = build_scenario(2, 0.08, 32, 0.02, smoothing=0.0)
-    else:
-        scenario = build_scenario(hole_halfwidth=0.02, **SCENARIOS[name])
+    scenario = build_scenario(hole_halfwidth=0.02, **SCENARIOS[name])
     rng = np.random.default_rng(17)
     offsets = [-1e-10, -1e-11, 0.0, 1e-11, 1e-10]
     x0, y0, home = _edge_points(scenario, rng, offsets)
@@ -380,7 +377,7 @@ def test_lone_step_onto_cut_line_is_not_flagged():
     ((0.3115234375, 0.875), 3),
 ])
 def test_foreign_move_onto_cut_line_is_flagged(start, steps):
-    scenario = build_scenario(2, 0.08, 16, 0.02, smoothing=0.0)
+    scenario = build_scenario(2, 0.08, 16, 0.02, ramp_fraction=1.0)
     x0, y0 = np.array([start[0]]), np.array([start[1]])
     home = _ramp_scan(scenario, x0, y0)[0]
     run, lone = _fast_run(scenario, scenario.tau, steps, x0, y0, home=home,

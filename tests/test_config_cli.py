@@ -206,10 +206,17 @@ GOLDEN = Path(__file__).parent / "golden"
 
 @pytest.mark.parametrize("name", ["small", "small_full_ramp"])
 def test_cli_sweep_matches_golden_csv(name, tmp_path, capsys):
+    cfg = str(GOLDEN / f"{name}.cfg")
     out = tmp_path / "sweep.csv"
-    assert main(["sweep", str(GOLDEN / f"{name}.cfg"), "--output", str(out)]) == 0
+    assert main(["sweep", cfg, "--output", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / f"{name}.csv").read_bytes()
     assert capsys.readouterr().out == out.read_text()
+    # the stdout of the other commands, byte for byte
+    for command, *flags in (["run", "--dump-scenario"], ["validate"],
+                            ["show-config"]):
+        assert main([command, cfg, *flags]) == 0
+        golden = GOLDEN / f"{name}.{command}.txt"
+        assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
 
 
 def test_cli_show_config(capsys):

@@ -41,7 +41,7 @@ def test_stationary_point():
 def test_h_strip_period_class_unsmoothed():
     # delta' = 0, sparse-window regime T*m << 1: ramp points traverse the
     # loop in m steps; find a clean one and check its class is a.
-    s = _scenario(T=0.01, m=8, smoothing=0.0)
+    s = _scenario(T=0.01, m=8, ramp_fraction=1.0)
     strip = s.strips[0]
     for frac in np.linspace(0.05, 0.95, 25):
         p = (0.52 + frac / 7, strip.offset + frac * strip.width)
@@ -56,7 +56,7 @@ def test_h_strip_period_class_unsmoothed():
 
 
 def test_d_strip_period_class_unsmoothed():
-    s = _scenario(T=0.01, m=8, smoothing=0.0)
+    s = _scenario(T=0.01, m=8, ramp_fraction=1.0)
     strip = s.strips[2]
     for frac in np.linspace(0.05, 0.95, 25):
         u = strip.offset + frac * strip.width
@@ -89,7 +89,7 @@ def test_iterate_word_nudges_degenerate_start():
 def test_iterate_word_nudges_end_point_on_cut_line():
     # the first step lands exactly on x = 1 (see test_batch); the nudged
     # re-run ends off the cut line and has a closing word
-    s = _scenario(T=0.05, m=8, smoothing=0.0)
+    s = _scenario(T=0.05, m=8, ramp_fraction=1.0)
     rec = iterate_word(s, AB, (1.125, 0.625), 1)
     assert rec.kind == "bad"
     assert rec.start == (1.125 + 1e-9, 0.625 + 1e-9)
@@ -98,7 +98,7 @@ def test_iterate_word_nudges_end_point_on_cut_line():
 @pytest.mark.parametrize("grid", [60, 100])
 def test_grid_estimate_nudges_end_points_on_cut_lines(grid):
     # some grid orbits end exactly on a cut line at these grid sizes
-    s = _scenario(T=0.05, m=8, smoothing=0.0)
+    s = _scenario(T=0.05, m=8, ramp_fraction=1.0)
     est = grid_estimate(s, AB, K=2 * s.m, grid=grid)
     assert np.isfinite(est.value)
 
@@ -185,7 +185,7 @@ def test_periodic_homogenization_consistency():
 def test_grid_estimate_agrees_with_monte_carlo_small():
     # band width an exact number of grid cells keeps the enumeration
     # quantization-free
-    s = _scenario(T=0.05, m=8, smoothing=0.0)
+    s = _scenario(T=0.05, m=8, ramp_fraction=1.0)
     K = 2 * s.m
     grid = grid_estimate(s, AB, K=K, grid=240)
     mc = rho_estimate(s, AB, K=K, samples_per_strip=4000, seed=11)
@@ -194,7 +194,7 @@ def test_grid_estimate_agrees_with_monte_carlo_small():
 
 
 def test_validity_propagates():
-    s = _scenario(N=1, T=0.24, m=2, smoothing=0.0)
+    s = _scenario(N=1, T=0.24, m=2, ramp_fraction=1.0)
     with pytest.raises(ValidityWindowExceeded):
         rho_estimate(s, AB, K=2, samples_per_strip=10)
 
@@ -202,7 +202,7 @@ def test_validity_propagates():
 def test_stationary_dominance_for_small_budget_scenario():
     # fraction classified periodic >= 1 - 2 * budget / strip area when the
     # overlap budget is small
-    s = _scenario(T=0.008, m=4, smoothing=0.0)
+    s = _scenario(T=0.008, m=4, ramp_fraction=1.0)
     est = rho_estimate(s, AB, samples_per_strip=4000, seed=21)
     budget = s.validation.bad_area_budget
     total_area = sum(st.width for st in s.strips)
@@ -231,7 +231,7 @@ def _flag_first_sample(call, run):
 
 
 def test_grid_estimate_raises_on_persistent_degeneracy(monkeypatch):
-    s = _scenario(T=0.05, m=8, smoothing=0.0)
+    s = _scenario(T=0.05, m=8, ramp_fraction=1.0)
     calls = _patch_run_batch(monkeypatch, _flag_first_sample)
     with pytest.raises(DegenerateCrossing):
         grid_estimate(s, AB, K=2 * s.m, grid=80)
@@ -239,7 +239,7 @@ def test_grid_estimate_raises_on_persistent_degeneracy(monkeypatch):
 
 
 def test_rho_estimate_raises_on_persistent_degeneracy(monkeypatch):
-    s = _scenario(T=0.05, m=8, smoothing=0.0)
+    s = _scenario(T=0.05, m=8, ramp_fraction=1.0)
     calls = _patch_run_batch(monkeypatch, _flag_first_sample)
     with pytest.raises(DegenerateCrossing):
         rho_estimate(s, AB, K=2 * s.m, samples_per_strip=50, workers=1)
@@ -276,7 +276,7 @@ def test_grid_estimate_retry_replaces_class_keys(monkeypatch):
         else:
             run.foreign[:] = True
 
-    s = _scenario(T=0.05, m=8, smoothing=0.0)
+    s = _scenario(T=0.05, m=8, ramp_fraction=1.0)
     _patch_run_batch(monkeypatch, edit)
     est = grid_estimate(s, AB, K=2 * s.m, grid=80)
     assert est.per_class == {}

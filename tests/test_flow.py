@@ -44,7 +44,7 @@ def test_profile_with_smoothing_margins():
 
 
 def test_apply_strip_fixed_outside():
-    s = _scenario(smoothing=0.0)
+    s = _scenario(ramp_fraction=1.0)
     strip = s.strips[0]
     p = (0.2, 0.2)
     q, seg = apply_strip(strip, strip_profile(strip), 0.5, p)
@@ -52,7 +52,7 @@ def test_apply_strip_fixed_outside():
 
 
 def test_apply_strip_full_period_loop():
-    s = _scenario(smoothing=0.0)
+    s = _scenario(ramp_fraction=1.0)
     strip = s.strips[0]  # H strip, c' = 1/T everywhere inside
     p = (0.5, strip.offset + strip.width / 2)
     q, seg = apply_strip(strip, strip_profile(strip), s.T, p)
@@ -62,7 +62,7 @@ def test_apply_strip_full_period_loop():
 
 
 def test_apply_strip_matches_substep_integration():
-    s = _scenario(smoothing=0.0)
+    s = _scenario(ramp_fraction=1.0)
     strip = s.strips[2]  # D strip, orientation -1
     pr = strip_profile(strip)
     p = (0.62, 0.1)
@@ -82,7 +82,7 @@ def test_apply_strip_matches_substep_integration():
 
 
 def test_shear_additivity_on_strip():
-    s = _scenario(smoothing=0.0)
+    s = _scenario(ramp_fraction=1.0)
     strip = s.strips[1]
     pr = strip_profile(strip)
     p = (strip.offset + 0.3 * strip.width, 0.77)
@@ -136,7 +136,8 @@ def _static_potential_oracle(scenario, p):
 
 
 def test_generator_static_matches_region_oracle():
-    for s in (_scenario(), _scenario(N=2, T=0.06, m=8), _scenario(smoothing=0.0)):
+    for s in (_scenario(), _scenario(N=2, T=0.06, m=8),
+              _scenario(ramp_fraction=1.0)):
         rng = random.Random(7)
         for _ in range(200):
             p = (rng.random(), rng.random())
@@ -164,8 +165,8 @@ def test_hofer_bound_and_validity():
 
 
 def test_hofer_bound_stable_under_doubling_N():
-    a = _scenario(N=1, T=0.04, m=16, smoothing=0.0)
-    b = _scenario(N=2, T=0.04, m=16, smoothing=0.0)
+    a = _scenario(N=1, T=0.04, m=16, ramp_fraction=1.0)
+    b = _scenario(N=2, T=0.04, m=16, ramp_fraction=1.0)
     ba = hofer_upper_bound(a, a.tau, time_samples=4, space_samples=250)
     bb = hofer_upper_bound(b, b.tau, time_samples=4, space_samples=250)
     assert ba.numeric / a.tau == pytest.approx(bb.numeric / b.tau, rel=0.05)
@@ -186,8 +187,7 @@ def test_hofer_and_calabi_share_one_generator_pass(monkeypatch):
     monkeypatch.setattr(flow, "_generator_fold", counted)
     flow._generator_series.cache_clear()
     for N, kw in [(1, {}), (2, {}), (1, {"ramp_fraction": 1.0}),
-                  (2, {"ramp_fraction": 1.0}), (1, {"smoothing": 0.0}),
-                  (2, {"smoothing": 0.0})]:
+                  (2, {"ramp_fraction": 1.0})]:
         full_folds.clear()
         s = _scenario(N=N, T=0.16 / N, m=16 * N, **kw)
         bound = hofer_upper_bound(s, s.tau, time_samples=time_samples,

@@ -53,7 +53,8 @@ def test_strip_transverse_and_membership():
 
 
 def test_build_example_from_grid_phases():
-    s = build_scenario(1, 0.05, 10, 0.02, phases=(0.3, 0.3, 0.15), smoothing=0.0)
+    s = build_scenario(1, 0.05, 10, 0.02, phases=(0.3, 0.3, 0.15),
+                       ramp_fraction=1.0)
     assert len(s.strips) == 3
     assert len(s.validation.pairwise_overlaps) == 3
     assert s.validation.bad_area_budget == pytest.approx(10 * 3 * 0.05 ** 2)
@@ -83,7 +84,8 @@ def test_build_determinism_and_defaults():
 
 
 def test_overlap_areas_against_grid_oracle():
-    s = build_scenario(1, 0.05, 10, 0.02, phases=(0.3, 0.3, 0.15), smoothing=0.0)
+    s = build_scenario(1, 0.05, 10, 0.02, phases=(0.3, 0.3, 0.15),
+                       ramp_fraction=1.0)
     n = 1200
     xs = (np.arange(n) + 0.5) / n
     gx, gy = np.meshgrid(xs, xs, indexing="ij")
@@ -241,3 +243,28 @@ def test_serialization_rejects_garbage():
         scenario_from_text("N = 1\nT = 0.05\n")  # missing fields
     with pytest.raises(InfeasibleScenario):
         scenario_from_text("nonsense line\n")
+
+
+# Each case edits the first match in a valid N = 1 document.  Every one
+# must raise InfeasibleScenario, not ValueError or a later failure (m = 0
+# used to fail only at scenario.tau, T = -1 ran the maps backwards).
+MALFORMED = {
+    "m_zero": ("m = 16", "m = 0"),
+    "T_negative": ("T = 0.16", "T = -1"),
+    "T_nan": ("T = 0.16", "T = nan"),
+    "N_not_a_number": ("N = 1", "N = x"),
+    "strip_field_not_a_number": ("strip = H 0.", "strip = H x0."),
+    "direction_Q": ("strip = H", "strip = Q"),
+    "orientation_2": (" +1 ", " +2 "),
+    "hole_too_wide": ("hole_halfwidth = 0.02", "hole_halfwidth = 0.5"),
+    "width_2": (" 0.16 +1 ", " 2 +1 "),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_scenario_from_text_rejects_malformed_documents(case):
+    text = scenario_to_text(build_scenario(1, 0.16, 16, 0.02))
+    old, new = MALFORMED[case]
+    assert old in text
+    with pytest.raises(InfeasibleScenario):
+        scenario_from_text(text.replace(old, new, 1))

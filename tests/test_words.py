@@ -1,4 +1,6 @@
 """Word algebra: spec examples plus randomized invariants."""
+import time
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -41,6 +43,16 @@ def test_invert_examples():
     assert Word.from_text("ab").inverse() == Word.from_text("BA")
     assert IDENTITY.inverse() == IDENTITY
     assert Word.from_text("abAB").inverse() == Word.from_text("baBA")
+
+
+def test_powers_are_linear():
+    # one free reduction of the repeated letters, not k products
+    w = Word.from_text("abAbb")
+    start = time.perf_counter()
+    up, down = w ** 30000, w ** -30000
+    assert time.perf_counter() - start < 2.0
+    assert up.text() == "abAbb" * 30000
+    assert down.text() == "BBaBA" * 30000
 
 
 def test_power_examples():
