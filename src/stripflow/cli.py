@@ -22,8 +22,9 @@ from .flow import calabi, flux_check, hofer_upper_bound
 from .properties import run_property_suite
 from .surface import scenario_to_text
 
-CSV_HEADER = ("N,T,m,tau,rho_est,rho_stderr,rho_pred,bad_area,"
-              "hofer_numeric,hofer_2Ktau,calabi,ratio")
+COLUMNS = ("N", "T", "m", "tau", "rho_est", "rho_stderr", "rho_pred",
+           "bad_area", "hofer_numeric", "hofer_2Ktau", "calabi", "ratio")
+CSV_HEADER = ",".join(COLUMNS)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -78,12 +79,7 @@ def _sweep_row(config: ExperimentConfig, n: int) -> dict:
 
 
 def _format_row(row: dict) -> str:
-    return ",".join([
-        str(row["N"]), _g(row["T"]), str(row["m"]), _g(row["tau"]),
-        _g(row["rho_est"]), _g(row["rho_stderr"]), _g(row["rho_pred"]),
-        _g(row["bad_area"]), _g(row["hofer_numeric"]), _g(row["hofer_2Ktau"]),
-        _g(row["calabi"]), _g(row["ratio"]),
-    ])
+    return ",".join(_g(row[column]) for column in COLUMNS)
 
 
 def cmd_validate(config: ExperimentConfig) -> int:

@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import ClassVar
 
 from .errors import ConfigError
+from .estimator import checked_K
 from .surface import (AUTO, DEFAULT_PHASE_H, DEFAULT_PHASE_V,
                       DEFAULT_RAMP_FRACTION, Scenario, build_scenario,
                       document_lines)
@@ -22,9 +24,22 @@ from .words import Word
 
 DEFAULT_SEED = 20260809
 
+# A value of this type is the rest of its line, spaces included.
+Text = str
+
+
+def _positive_int(value: float) -> int | None:
+    """``value`` as an int if it is within 1e-12 of an integer >= 1."""
+    i = round(value) if math.isfinite(value) else 0
+    return i if i >= 1 and abs(value - i) <= 1e-12 else None
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """The experiment's settings.  Each field is one configuration key, its
+    annotation picks the parser, and field order is the ``show-config``
+    order."""
+
     pattern: str = "ab"
     N_list: tuple[int, ...] = (1, 2, 4, 8)
     T_rule: tuple[str, float] = ("scaled", 0.16)
@@ -33,14 +48,15 @@ class ExperimentConfig:
     hole_halfwidth: float = 0.02
     samples_per_strip: int = 20000
     seed: int = DEFAULT_SEED
-    output: str = "sweep.csv"
     phase_H: float = DEFAULT_PHASE_H
     phase_V: float = DEFAULT_PHASE_V
     phase_D: float | str = AUTO
     ramp_fraction: float = DEFAULT_RAMP_FRACTION
     time_samples: int = 8
     space_samples: int = 400
-    grid_oracle_size: int = 400
+    output: Text = "sweep.csv"
+    # not a key: the grid of the acceptance suite's full-enumeration check
+    grid_oracle_size: ClassVar[int] = 400
 
     def __post_init__(self):
         # Only what no library function checks: build() maps the range
@@ -60,8 +76,7 @@ class ExperimentConfig:
                 raise ConfigError(f"{rule} kind must be one of {allowed}")
         if any(n < 1 for n in self.N_list):
             raise ConfigError(f"every N must be >= 1, got {self.N_list}")
-        for key in ("samples_per_strip", "time_samples", "space_samples",
-                    "grid_oracle_size"):
+        for key in ("samples_per_strip", "time_samples", "space_samples"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key} must be >= 1")
 
@@ -72,32 +87,31 @@ class ExperimentConfig:
     def m_for(self, N: int) -> int:
         kind, value = self.m_rule
         m = value * N if kind == "scaled" else value
-        mi = round(m) if math.isfinite(m) else 0
-        if mi < 1 or abs(m - mi) > 1e-12:
+        mi = _positive_int(m)
+        if mi is None:
             raise ConfigError(f"m rule yields non-integer {m} for N={N}")
         return mi
 
     def K_for(self, m: int) -> int:
         kind, value = self.K_rule
         k = value * m if kind == "per_m" else value
-        ki = round(k) if math.isfinite(k) else 0
-        if ki < 1 or abs(k - ki) > 1e-12 or ki % m != 0:
+        ki = _positive_int(k)
+        if ki is None or ki % m != 0:
             raise ConfigError(f"K={k} must be a positive multiple of m={m}")
         return ki
 
     def build(self, N: int) -> Scenario:
+        """The scenario at N, through every check that ``run`` and ``sweep``
+        make before they sample."""
         try:
-            return build_scenario(
+            scenario = build_scenario(
                 N, self.T_for(N), self.m_for(N), self.hole_halfwidth,
                 phases=(self.phase_H, self.phase_V, self.phase_D),
                 ramp_fraction=self.ramp_fraction)
+            checked_K(scenario, self.K_for(scenario.m))
         except ValueError as exc:
             raise ConfigError(f"N={N}: {exc}") from exc
-
-
-_INT_KEYS = {"samples_per_strip", "seed", "time_samples", "space_samples",
-             "grid_oracle_size"}
-_FLOAT_KEYS = {"hole_halfwidth", "phase_H", "phase_V", "ramp_fraction"}
+        return scenario
 
 
 def _parse_rule(key: str, tokens: list[str]) -> tuple[str, float]:
@@ -115,50 +129,45 @@ def _single(key: str, tokens: list[str]) -> str:
     return tokens[0]
 
 
-def _assign(fields: dict, key: str, tokens: list[str]):
+def _phase(key: str, tokens: list[str]) -> float | str:
+    value = _single(key, tokens)
+    return AUTO if value == AUTO else float(value)
+
+
+# the parser of each field annotation, by its text (annotations are strings)
+_PARSERS = {
+    "str": _single,
+    "Text": lambda key, tokens: " ".join(tokens),
+    "int": lambda key, tokens: int(_single(key, tokens)),
+    "float": lambda key, tokens: float(_single(key, tokens)),
+    "float | str": _phase,
+    "tuple[int, ...]": lambda key, tokens: tuple(int(t) for t in tokens),
+    "tuple[str, float]": _parse_rule,
+}
+_KEY_PARSERS = {f.name: _PARSERS[f.type] for f in fields(ExperimentConfig)}
+_ALIASES = {"T": "T_rule", "m": "m_rule", "K": "K_rule"}
+
+
+def _assign(values: dict, key: str, tokens: list[str]):
+    name = _ALIASES.get(key, key)
+    if name not in _KEY_PARSERS:
+        raise ConfigError(f"unknown configuration key {key!r}")
     try:
-        if key in ("T", "T_rule"):
-            fields["T_rule"] = _parse_rule("T_rule", tokens)
-        elif key in ("m", "m_rule"):
-            fields["m_rule"] = _parse_rule("m_rule", tokens)
-        elif key in ("K", "K_rule"):
-            fields["K_rule"] = _parse_rule("K_rule", tokens)
-        elif key == "N_list":
-            fields["N_list"] = tuple(int(t) for t in tokens)
-        elif key == "pattern":
-            fields["pattern"] = _single(key, tokens)
-        elif key == "output":
-            fields["output"] = " ".join(tokens)
-        elif key == "phase_D":
-            value = _single(key, tokens)
-            fields["phase_D"] = AUTO if value == AUTO else float(value)
-        elif key in _INT_KEYS:
-            fields[key] = int(_single(key, tokens))
-        elif key in _FLOAT_KEYS:
-            fields[key] = float(_single(key, tokens))
-        else:
-            raise ConfigError(f"unknown configuration key {key!r}")
+        values[name] = _KEY_PARSERS[name](name, tokens)
     except ValueError as exc:
         raise ConfigError(f"bad value for {key!r}: {exc}") from exc
 
 
-def _config(fields: dict) -> ExperimentConfig:
-    try:
-        return ExperimentConfig(**fields)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
 def config_from_text(text: str) -> ExperimentConfig:
-    fields: dict = {}
+    values: dict = {}
     for raw, key, value in document_lines(text):
         if key is None:
             raise ConfigError(f"unparseable config line {raw!r}")
         tokens = value.split()
         if not tokens:
             raise ConfigError(f"empty value for {key!r}")
-        _assign(fields, key, tokens)
-    return _config(fields)
+        _assign(values, key, tokens)
+    return ExperimentConfig(**values)
 
 
 def config_from_json(text: str) -> ExperimentConfig:
@@ -168,14 +177,14 @@ def config_from_json(text: str) -> ExperimentConfig:
         raise ConfigError(f"bad JSON config: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("JSON config must be an object")
-    fields: dict = {}
+    values: dict = {}
     for key, value in data.items():
         if isinstance(value, list):
             tokens = [str(v) for v in value]
         else:
             tokens = str(value).split()
-        _assign(fields, key, tokens)
-    return _config(fields)
+        _assign(values, key, tokens)
+    return ExperimentConfig(**values)
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -191,23 +200,10 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
 
 def config_to_text(config: ExperimentConfig) -> str:
-    lines = [
-        "# stripflow experiment config",
-        f"pattern = {config.pattern}",
-        "N_list = " + " ".join(str(n) for n in config.N_list),
-        f"T_rule = {config.T_rule[0]} {config.T_rule[1]!r}",
-        f"m_rule = {config.m_rule[0]} {config.m_rule[1]!r}",
-        f"K_rule = {config.K_rule[0]} {config.K_rule[1]!r}",
-        f"hole_halfwidth = {config.hole_halfwidth!r}",
-        f"samples_per_strip = {config.samples_per_strip}",
-        f"seed = {config.seed}",
-        f"phase_H = {config.phase_H!r}",
-        f"phase_V = {config.phase_V!r}",
-        f"phase_D = {config.phase_D}",
-        f"ramp_fraction = {config.ramp_fraction!r}",
-        f"time_samples = {config.time_samples}",
-        f"space_samples = {config.space_samples}",
-        f"grid_oracle_size = {config.grid_oracle_size}",
-        f"output = {config.output}",
-    ]
+    lines = ["# stripflow experiment config"]
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if isinstance(value, tuple):
+            value = " ".join(map(str, value))
+        lines.append(f"{f.name} = {value}")
     return "\n".join(lines) + "\n"

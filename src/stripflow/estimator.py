@@ -31,6 +31,7 @@ from .words import Word, cyclic_core, reduce_letters
 RETURN_TOL = 1e-9
 NUDGE_RETRIES = 3
 _CHUNK_SAMPLES = 180_000
+MAX_LINES_CROSSED = 10**5
 
 
 @dataclass(frozen=True)
@@ -228,8 +229,12 @@ def _evaluate_with_nudges(scenario: Scenario, q: CountingQM, K: int,
     return _nudged(lambda *a: _evaluate_batch(scenario, q, K, *a), x, y, home)
 
 
-def _checked_K(scenario: Scenario, K: int | None) -> int:
-    """Check the inputs both estimators share; return K (default 4m)."""
+def checked_K(scenario: Scenario, K: int | None) -> int:
+    """Check the inputs both estimators share; return K (default 4m).
+
+    Over K steps a lone orbit crosses K * tau / ramp_width cut lines per
+    axis, one letter each, read one crossing at a time.  More than
+    MAX_LINES_CROSSED is refused; the default config crosses 32."""
     fa, fb = flux_check(scenario)
     if (fa, fb) != (0.0, 0.0):
         raise ValueError(f"nonzero flux {(fa, fb)}: map is not Hamiltonian")
@@ -239,6 +244,11 @@ def _checked_K(scenario: Scenario, K: int | None) -> int:
         K = 4 * m
     if K % m != 0:
         raise ValueError(f"K={K} must be a multiple of m={m}")
+    lines = max((K * scenario.tau / s.ramp_width for s in scenario.strips),
+                default=0.0)
+    if lines > MAX_LINES_CROSSED:
+        raise ValueError(f"K={K} steps cross {lines:.6g} cut lines per axis, "
+                         f"more than {MAX_LINES_CROSSED}")
     return K
 
 
@@ -291,7 +301,7 @@ def rho_estimate(scenario: Scenario, q: CountingQM, K: int | None = None,
     weights; per-strip sample streams are seeded independently, so the
     result is reproducible and independent of worker partitioning.
     """
-    K = _checked_K(scenario, K)
+    K = checked_K(scenario, K)
     require_grid_sizes(samples_per_strip=samples_per_strip)
     if workers is None:
         raw = os.environ.get("STRIPFLOW_WORKERS", "1")
@@ -380,7 +390,7 @@ def grid_estimate(scenario: Scenario, q: CountingQM, K: int | None = None,
     surface is exactly fixed and contributes zero.  Serves as the
     independent cross-check for rho_estimate.
     """
-    K = _checked_K(scenario, K)
+    K = checked_K(scenario, K)
     require_grid_sizes(grid=grid)
     gx, gy = cell_centers(grid)
     home = _ramp_scan(scenario, gx, gy)[0]

@@ -3,6 +3,7 @@ import contextlib
 import io
 import json
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -58,6 +59,27 @@ def test_parse_text_and_json_mirror():
 def test_config_round_trip():
     cfg = ExperimentConfig(N_list=(2,), seed=99)
     assert config_from_text(config_to_text(cfg)) == cfg
+
+
+# one non-default value per configuration key
+_NON_DEFAULT = {
+    "pattern": "aB", "N_list": (3, 5), "T_rule": ("fixed", 0.05),
+    "m_rule": ("fixed", 12.0), "K_rule": ("per_m", 3.0),
+    "hole_halfwidth": 0.03, "samples_per_strip": 123, "seed": 7,
+    "phase_H": 0.25, "phase_V": 0.125, "phase_D": 0.5, "ramp_fraction": 0.5,
+    "time_samples": 3, "space_samples": 50, "output": "my out.csv",
+}
+
+
+@pytest.mark.parametrize("key", [f.name for f in fields(ExperimentConfig)])
+def test_every_key_round_trips(key):
+    assert set(_NON_DEFAULT) == {f.name for f in fields(ExperimentConfig)}
+    value = _NON_DEFAULT[key]
+    assert value != getattr(ExperimentConfig(), key)
+    cfg = ExperimentConfig(**{key: value})
+    assert config_from_text(config_to_text(cfg)) == cfg
+    mirror = list(value) if isinstance(value, tuple) else value
+    assert config_from_json(json.dumps({key: mirror})) == cfg
 
 
 def test_parse_errors():
@@ -222,7 +244,8 @@ def test_cli_sweep_matches_golden_csv(name, tmp_path, capsys):
 def test_cli_show_config(capsys):
     assert main(["show-config"]) == 0
     out = capsys.readouterr().out
-    assert "pattern = ab" in out
+    golden = GOLDEN / "default.show-config.txt"
+    assert out == golden.read_text(encoding="utf-8")
 
 
 def _one_error_record(err: str) -> dict:
@@ -257,6 +280,17 @@ BROKEN = {
     "phase_H_inf": ("validate", "phase_H = inf", 2, "invalid_config"),
     "phase_V_nan": ("validate", "phase_V = nan", 2, "invalid_config"),
     "phase_D_nan": ("validate", "phase_D = nan", 2, "invalid_config"),
+    # validate makes every check that run and sweep make before sampling
+    "validate_m_too_small": ("validate", "m = 2", 3,
+                             "validity_window_exceeded"),
+    "validate_K_not_int": ("validate", "K = 16.4", 2, "invalid_config"),
+    # too many cut lines crossed per axis: refused before any sampling
+    "validate_ramp_1e-9": ("validate", "ramp_fraction = 1e-9", 2,
+                           "invalid_config"),
+    "validate_ramp_1e-5": ("validate", "ramp_fraction = 1e-5", 2,
+                           "invalid_config"),
+    "run_ramp_1e-9": ("run", "ramp_fraction = 1e-9", 2, "invalid_config"),
+    "run_ramp_1e-5": ("run", "ramp_fraction = 1e-5", 2, "invalid_config"),
 }
 
 
