@@ -25,7 +25,8 @@ from .counting import CountingQM, homogenized_tuple
 from .errors import ConfigError, DegenerateCrossing
 from .flow import (cell_centers, flux_check, require_grid_sizes,
                    require_validity)
-from .surface import NUDGE, Scenario, StripSpec, closing_word, crossing_word
+from .surface import (NUDGE, Scenario, StripSpec, closing_letters,
+                      closing_word, crossing_word)
 from .words import Word, cyclic_core, reduce_letters
 
 RETURN_TOL = 1e-9
@@ -193,12 +194,22 @@ def _evaluate_batch(scenario: Scenario, q: CountingQM, K: int,
     bad = np.nonzero((kinds == 2) & ~run.degenerate)[0]
     events = batch.assemble_words(run, n, only=bad[run.foreign[bad]])
     hh = scenario.surface.hole_halfwidth
-    for i in bad.tolist():
-        start = (float(x[i]), float(y[i]))
-        end = (float(run.x_end[i]), float(run.y_end[i]))
-        close, _ = closing_word(end, start, hh)
-        word = _path_word(run, x, y, i, events) * close
-        values[i] = homogenized_tuple(pattern, word.letters) / K
+    letters, declined = closing_letters(run.x_end[bad], run.y_end[bad],
+                                        x[bad], y[bad], hh)
+    valued = {}  # one value per distinct reduced K-step word
+    bad_values = []
+    for i, letter, scalar in zip(bad.tolist(), letters.tolist(),
+                                 declined.tolist()):
+        if scalar:
+            close = closing_word((float(run.x_end[i]), float(run.y_end[i])),
+                                 (float(x[i]), float(y[i])), hh)[0]
+        else:
+            close = Word((letter,) if letter else (), _reduced=True)
+        word = (_path_word(run, x, y, i, events) * close).letters
+        if word not in valued:
+            valued[word] = homogenized_tuple(pattern, word) / K
+        bad_values.append(valued[word])
+    values[bad] = bad_values
     return values, kinds, keys, run.degenerate
 
 

@@ -36,7 +36,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateCrossing, InfeasibleScenario
-from .words import Word
+from .words import Word, reduce_letters
 
 DIRECTIONS = ("H", "V", "D")
 DIRECTION_VECTORS = {"H": (1.0, 0.0), "V": (0.0, 1.0), "D": (1.0, 1.0)}
@@ -466,7 +466,8 @@ def crossing_word(p: tuple[float, float], q: tuple[float, float]) -> Word:
     direction) and b^{+-1} per crossing of y in Z, ordered along the
     segment.
     """
-    return Word(letter for _, letter in segment_crossings(p, q))
+    return Word(reduce_letters(letter for _, letter in segment_crossings(p, q)),
+                _reduced=True)
 
 
 def _segment_hits_square(p, q, L, hh) -> bool:
@@ -547,7 +548,36 @@ def closing_word(end: tuple[float, float], start: tuple[float, float],
     letters = []
     for a, b in chain:
         letters.extend(letter for _, letter in segment_crossings(a, b))
-    return Word(letters), chain
+    return Word(reduce_letters(letters), _reduced=True), chain
+
+
+def closing_letters(end_x, end_y, start_x, start_y, hole_halfwidth):
+    """closing_word's letters for arrays of end and start points, where the
+    straight segment is taken.  Returns (letter, declined): per sample the
+    one signed letter of the segment (0 for none), and a mask of the
+    samples that need the scalar closing_word.
+
+    The wrapped displacement is at most 1/2 per axis, so the segment crosses
+    at most one cut line per axis.  A sample is declined when an end of the
+    segment lies within CUT_LINE_TOL of a cut line, or when a lattice point
+    lies in the segment's bounding box padded by ``hole_halfwidth``: that
+    box holds every hole the segment could enter.  A segment that crosses
+    both axes holds the lattice point where its two cut lines meet, so an
+    accepted segment has at most one letter and needs no ordering.
+    """
+    hh = hole_halfwidth
+    declined = np.zeros(end_x.shape, dtype=bool)
+    lattice_in_box = np.ones(end_x.shape, dtype=bool)
+    letter = np.zeros(end_x.shape, dtype=np.int64)
+    for end, start, code in ((end_x, start_x, 1), (end_y, start_y, 2)):
+        # the same float ops as closing_word and segment_crossings
+        target = end + (frac((start - end) + 0.5) - 0.5)
+        lo, hi = np.minimum(end, target), np.maximum(end, target)
+        declined |= near_cut_line(end) | near_cut_line(target)
+        lattice_in_box &= np.ceil(lo - hh) <= hi + hh
+        crosses = np.floor(lo) < np.floor(hi)
+        letter += crosses * np.where(target > end, code, -code)
+    return letter, declined | lattice_in_box
 
 
 # -- serialization -----------------------------------------------------------

@@ -10,7 +10,8 @@ from stripflow.counting import CountingQM, homogenized_tuple
 from stripflow.estimator import (RETURN_TOL, _ramp_points, _ramp_scan,
                                  iterate_word)
 from stripflow.flow import apply_composed
-from stripflow.surface import build_scenario, crossing_word, near_cut_line
+from stripflow.surface import (build_scenario, closing_letters, closing_word,
+                               crossing_word, near_cut_line)
 from stripflow.words import Word, cyclic_core, reduce_letters
 
 AB = CountingQM.from_text("ab")
@@ -465,6 +466,47 @@ def test_evaluate_batch_matches_event_words(N, m, ramp_fraction, monkeypatch):
         assert not non_foreign.any() and reduced
     else:
         assert non_foreign.sum() > x0.size // 2
+
+
+def test_evaluate_batch_closes_bad_orbits_in_arrays(monkeypatch):
+    """On full ramps every moved sample is bad: few of them reach the scalar
+    closing_word, the array letters match it, and each distinct word is
+    valued once."""
+    scenario = build_scenario(2, 0.08, 32, 0.02, ramp_fraction=1.0)
+    K = 2 * scenario.m
+    x0, y0, home = _sample_batch(scenario, 300, seed=5)
+    calls = {"closing_word": 0, "homogenized_tuple": 0}
+
+    def counted(name):
+        real = getattr(estimator, name)
+
+        def count(*args):
+            calls[name] += 1
+            return real(*args)
+        return count
+
+    for name in calls:
+        monkeypatch.setattr(estimator, name, counted(name))
+    values, kinds, keys, degenerate = estimator._evaluate_batch(
+        scenario, AB, K, x0, y0, home)
+    bad = np.nonzero((kinds == 2) & ~degenerate)[0]
+    assert bad.size > 1500
+    assert calls["closing_word"] < 0.05 * bad.size
+
+    run = run_batch(scenario, scenario.tau, K, x0, y0, home=home,
+                    collect=True, m_snapshot=scenario.m)
+    events = assemble_words(run, x0.size, only=bad)
+    hh = scenario.surface.hole_halfwidth
+    letters, declined = closing_letters(run.x_end[bad], run.y_end[bad],
+                                        x0[bad], y0[bad], hh)
+    distinct = set()
+    for i, letter, scalar in zip(bad.tolist(), letters.tolist(),
+                                 declined.tolist()):
+        close = closing_word((float(run.x_end[i]), float(run.y_end[i])),
+                             (float(x0[i]), float(y0[i])), hh)[0].letters
+        assert scalar or close == ((letter,) if letter else ())
+        distinct.add((events.get(i, ()), close))
+    assert 0 < calls["homogenized_tuple"] <= len(distinct) < bad.size // 10
 
 
 def _iterate_points(scenario, seed):

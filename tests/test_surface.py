@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from stripflow.errors import DegenerateCrossing, InfeasibleScenario
-from stripflow.surface import (HoledTorus, Scenario, StripSpec, build_scenario,
-                               closing_word, crossing_word, frac,
-                               scenario_from_text, scenario_to_text,
-                               segment_crossings, validate_scenario,
-                               _segment_hits_hole)
+from stripflow.surface import (HoledTorus, Scenario, StripSpec,
+                               build_scenario, closing_letters, closing_word,
+                               crossing_word, frac, scenario_from_text,
+                               scenario_to_text, segment_crossings,
+                               validate_scenario, _segment_hits_hole)
 from stripflow.words import Word
 
 
@@ -186,6 +186,73 @@ def test_closing_word_detours_around_hole():
     letters = list(word)
     assert sum(1 if c == 1 else -1 for c in letters if abs(c) == 1) == \
         math.floor(lx) - math.floor(end[0])
+
+
+def _closing_pairs(hh, rng):
+    """End and start points where the array closing path is hard to get
+    right: near a lattice point, near a cut line, half a unit apart on an
+    axis, with no displacement, and at random."""
+    n = 400
+    lattice = rng.integers(-2, 3, size=(2, 2, n)).astype(float)
+    near_hole = lattice + rng.uniform(-3 * hh, 3 * hh, size=(2, 2, n))
+    near_line = rng.uniform(-1.5, 1.5, size=(2, 2, n))
+    axis = rng.integers(0, 2, size=n)
+    end_or_start = rng.integers(0, 2, size=n)
+    near_line[end_or_start, axis, np.arange(n)] = (
+        rng.integers(-1, 2, size=n) + rng.uniform(-1e-13, 1e-13, size=n))
+    # dyadic coordinates, so that the differences are exactly +-0.5
+    half = rng.integers(-64, 64, size=(2, 2, n)) / 64.0
+    half[1, axis, np.arange(n)] = (half[0, axis, np.arange(n)]
+                                   + rng.choice([-0.5, 0.5], size=n))
+    still = np.repeat(rng.uniform(-1.0, 1.0, size=(1, 2, n)), 2, axis=0)
+    still[1, :, : n // 2] += rng.integers(-2, 3, size=(2, n // 2))
+    spread = rng.uniform(-1.5, 1.5, size=(2, 2, n))
+    return np.concatenate([near_hole, near_line, half, still, spread], axis=2)
+
+
+def test_closing_letters_match_closing_word():
+    hh = 0.02
+    rng = np.random.default_rng(17)
+    (ex, ey), (sx, sy) = _closing_pairs(hh, rng)
+    letters, declined = closing_letters(ex, ey, sx, sy, hh)
+    for letter, e, s in zip(letters[~declined].tolist(),
+                            zip(ex[~declined].tolist(), ey[~declined].tolist()),
+                            zip(sx[~declined].tolist(), sy[~declined].tolist())):
+        assert closing_word(e, s, hh)[0].letters == ((letter,) if letter
+                                                     else ())
+    # both paths run, and every letter occurs
+    assert (~declined).sum() > 600 and declined.sum() > 300
+    assert set(letters[~declined].tolist()) == {-2, -1, 0, 1, 2}
+    zero = (ex == sx) & (ey == sy)
+    assert (zero & ~declined).any()
+
+
+# pairs the array path declines (a lattice point near the segment or an end
+# on a cut line), with the closing words closing_word gave before the array
+# path existed; None stands for DegenerateCrossing
+DECLINED_CLOSINGS = [
+    ((0.97, 0.005), (0.03, 0.005), (1,)),
+    ((0.9, 0.9), (0.1, 0.1), (2, 1)),
+    ((0.9, 0.01), (0.1, 0.4), (1,)),
+    ((0.98, 0.3), (0.02, 0.99), (1, -2)),
+    ((1e-14, 0.5), (0.3, 0.5), None),
+    ((0.3, 0.2), (1e-14, 0.2), None),
+    ((0.99, 0.99), (0.01, 0.01), None),
+    ((0.2, -1e-14), (0.2, 0.4), None),
+    ((0.0, 0.0), (0.5, 0.5), None),
+]
+
+
+@pytest.mark.parametrize("end,start,expected", DECLINED_CLOSINGS)
+def test_declined_pairs_keep_their_closing_words(end, start, expected):
+    hh = 0.02
+    (ex, ey), (sx, sy) = np.array([[end], [start]]).transpose(0, 2, 1)
+    assert closing_letters(ex, ey, sx, sy, hh)[1].all()
+    if expected is None:
+        with pytest.raises(DegenerateCrossing):
+            closing_word(end, start, hh)
+    else:
+        assert closing_word(end, start, hh)[0].letters == expected
 
 
 def test_random_closed_loops_reduce_to_identity():
