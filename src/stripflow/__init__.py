@@ -10,8 +10,8 @@ generating isotopy.
 __version__ = "0.1.0"
 
 from .config import ExperimentConfig, load_config
-from .counting import (CountingQM, brooks_value, count_occurrences,
-                       estimate_defect, homogenize_oracle, homogenized)
+from .counting import (CountingQM, brooks_value, estimate_defect,
+                       homogenize_oracle, homogenized)
 from .errors import (ConfigError, DegenerateCrossing, InfeasibleScenario,
                      StripflowError, ValidityWindowExceeded)
 from .estimator import (RhoEstimate, RhoPrediction, TrajectoryRecord,

@@ -1,7 +1,7 @@
 """Vectorized trajectory engine shared by the estimator and the grid oracle.
 
 Positions are kept as plane lifts so crossing words fall out of floor
-differences.  Each strip application emits crossing events keyed by
+differences.  Each step emits its crossing events in one pass, keyed by
 (application sequence number + crossing parameter), which sorts the
 letters of a sample's word globally (the event arrays themselves come in
 no particular order).  Exact piecewise translations: no integration error.
@@ -44,38 +44,6 @@ class BatchRun:
     applications_per_step: int
 
 
-class _EventSink:
-    def __init__(self, n: int):
-        self.sample = [np.empty(0, dtype=np.int64)]
-        self.key = [np.empty(0)]
-        self.letter = [np.empty(0, dtype=np.int8)]
-        self.at_end = np.zeros(n, dtype=bool)
-
-    def emit_axis(self, ids, old, new, letter_code, seq: float):
-        """Emit the cut-line crossings of the moves old -> new along one
-        axis under the application's sequence number ``seq``, and flag in
-        ``at_end`` the moves with a crossing parameter within CUT_LINE_TOL
-        of 0 or 1: they start or end on a cut line."""
-        c0, c1 = np.floor(old), np.floor(new)
-        nz = np.nonzero(c0 != c1)[0]
-        ids, old, new, c0 = ids[nz], old[nz], new[nz], c0[nz]
-        counts = (c1[nz] - c0).astype(np.int64)
-        for j in range(1, int(np.abs(counts).max(initial=0)) + 1):
-            sel = np.abs(counts) >= j
-            up = counts[sel] > 0
-            k = np.where(up, c0[sel] + j, c0[sel] - (j - 1))
-            tpar = (k - old[sel]) / (new[sel] - old[sel])
-            self.at_end[ids[sel][(tpar < CUT_LINE_TOL)
-                                 | (tpar > 1.0 - CUT_LINE_TOL)]] = True
-            self.sample.append(ids[sel])
-            self.key.append(seq + tpar)
-            self.letter.append(
-                np.where(up, letter_code, -letter_code).astype(np.int8))
-
-    def arrays(self):
-        return tuple(map(np.concatenate, (self.sample, self.key, self.letter)))
-
-
 def run_batch(scenario: Scenario, t: float, n_steps: int,
               x0: np.ndarray, y0: np.ndarray, home: np.ndarray,
               collect: bool = False,
@@ -107,18 +75,19 @@ def run_batch(scenario: Scenario, t: float, n_steps: int,
         degenerate=np.zeros(n, dtype=bool),
         event_sample=None, event_key=None, event_letter=None,
         applications_per_step=n_strips)
-    sink = _EventSink(n) if collect else None
 
     rest = np.arange(n, dtype=np.int64)
     if n_steps > 0:
         rest = rest[~_lone_orbits(scenario, t, n_steps, x0, y0, home, snap,
                                   run)]
-    _run_engine(scenario, t, n_steps, x0, y0, rest, home[rest], sink, snap,
-                compact_fixed, run)
+    events = _run_engine(scenario, t, n_steps, x0, y0, rest, home[rest],
+                         collect, snap, compact_fixed, run)
 
     if collect:
-        run.event_sample, run.event_key, run.event_letter = sink.arrays()
-        run.degenerate = sink.at_end & run.foreign
+        run.event_sample, run.event_key, run.event_letter, on_cut = (
+            np.concatenate(c) for c in zip(*events))
+        run.degenerate[run.event_sample[on_cut]] = True
+        run.degenerate &= run.foreign
         for c in (x0, y0, run.x_end, run.y_end):
             run.degenerate |= near_cut_line(c)
     return run
@@ -126,12 +95,12 @@ def run_batch(scenario: Scenario, t: float, n_steps: int,
 
 def _run_engine(scenario: Scenario, t: float, n_steps: int,
                 x0: np.ndarray, y0: np.ndarray, ids: np.ndarray,
-                hm: np.ndarray, sink: _EventSink | None, snap: int,
-                compact_fixed: bool, run: BatchRun) -> None:
+                hm: np.ndarray, collect: bool, snap: int,
+                compact_fixed: bool, run: BatchRun) -> list[tuple]:
     """The full engine: every step tests every sample against all strips.
 
-    Follows the samples ``ids`` of the batch and writes their end points,
-    step-``snap`` snapshot and flags into ``run``.
+    Writes the end points, snapshot and flags of the samples ``ids`` into
+    ``run``; with ``collect``, returns their crossing events.
     """
     strips = scenario.strips
     n_strips = len(strips)
@@ -141,8 +110,11 @@ def _run_engine(scenario: Scenario, t: float, n_steps: int,
     # acting order: last listed strip acts first
     acting = [(si, strips[si], DIRECTION_AXES[strips[si].direction])
               for si in reversed(range(n_strips))]
+    events = [(np.empty(0, dtype=np.int64), np.empty(0),
+               np.empty(0, dtype=np.int8), np.empty(0, dtype=bool))]
 
     for step in range(n_steps):
+        moves = []
         for pos, (si, strip, axes) in enumerate(acting):
             _, on_ramp, d = strip.shear(*xy, t)
             moved_live |= on_ramp
@@ -152,9 +124,13 @@ def _run_engine(scenario: Scenario, t: float, n_steps: int,
             seq = float(step * n_strips + pos)
             for a in axes:
                 new = xy[a] + d
-                if sink is not None:
-                    sink.emit_axis(ids, xy[a], new, a + 1, seq)
+                if collect:  # the moves that change the floor
+                    cross = (np.floor(xy[a]) != np.floor(new)).nonzero()[0]
+                    moves.append((ids[cross], xy[a][cross], new[cross],
+                                  a + 1, seq))
                 xy[a] = new
+        if moves:
+            events += _crossings(moves)
 
         if step == 0 and compact_fixed and not moved_live.all():
             alive = moved_live
@@ -169,6 +145,29 @@ def _run_engine(scenario: Scenario, t: float, n_steps: int,
     run.x_end[ids], run.y_end[ids] = xy
     run.moved[ids] = moved_live
     run.foreign[ids] = foreign_live
+    return events
+
+
+def _crossings(moves: list[tuple]) -> list[tuple]:
+    """Crossing events of one step's moves ``(ids, old, new, letter code,
+    seq)`` along one axis each: sample, key ``seq`` + crossing parameter,
+    signed letter, and whether the move starts or ends on a cut line (a
+    parameter within CUT_LINE_TOL of 0 or 1)."""
+    ids, old, new = (np.concatenate(c) for c in list(zip(*moves))[:3])
+    code, seq = np.repeat([m[3:] for m in moves], [m[0].size for m in moves],
+                          axis=0).T
+    c0 = np.floor(old)
+    counts = (np.floor(new) - c0).astype(np.int64)
+    out = []
+    for j in range(1, int(np.abs(counts).max(initial=0)) + 1):
+        sel = np.abs(counts) >= j
+        up = counts[sel] > 0
+        k = np.where(up, c0[sel] + j, c0[sel] - (j - 1))
+        tpar = (k - old[sel]) / (new[sel] - old[sel])
+        out.append((ids[sel], seq[sel] + tpar,
+                    np.where(up, code[sel], -code[sel]).astype(np.int8),
+                    (tpar < CUT_LINE_TOL) | (tpar > 1.0 - CUT_LINE_TOL)))
+    return out
 
 
 # -- lone orbits ---------------------------------------------------------------

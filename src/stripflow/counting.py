@@ -68,11 +68,6 @@ def homogenized_tuple(pattern: tuple[int, ...], letters: tuple[int, ...]) -> flo
 
 # -- public operations -----------------------------------------------------
 
-def count_occurrences(q: CountingQM, g: Word) -> int:
-    """Number of (possibly overlapping) occurrences of the pattern in g."""
-    return count_tuple(q.pattern.letters, g.letters)
-
-
 def brooks_value(q: CountingQM, g: Word) -> float:
     w = q.pattern.letters
     return float(brooks_tuple(w, tuple(-c for c in reversed(w)), g.letters))

@@ -106,12 +106,6 @@ class HoledTorus:
         if not 0.0 < self.hole_halfwidth < 0.1:
             raise ValueError("hole_halfwidth must lie in (0, 0.1)")
 
-    def in_hole(self, x: float, y: float) -> bool:
-        hh = self.hole_halfwidth
-        dx = abs(x - round(x))
-        dy = abs(y - round(y))
-        return dx < hh and dy < hh
-
 
 @dataclass(frozen=True)
 class StripSpec:
@@ -154,9 +148,6 @@ class StripSpec:
         """Transverse chart coordinate relative to the band start, mod 1."""
         return frac(self.shear(x, y, 0.0)[0])
 
-    def contains(self, x: float, y: float) -> bool:
-        return self.transverse(x, y) < self.width
-
 
 @dataclass(frozen=True)
 class OverlapReport:
@@ -194,17 +185,6 @@ def _interval_intersects_mod1(a0: float, alen: float, b0: float, blen: float) ->
         if hi - lo > 1e-15:
             return True
     return False
-
-
-def pairwise_overlap_area(s1: StripSpec, s2: StripSpec) -> float:
-    """Exact intersection area of two strips of different directions.
-
-    In the product of their shear charts the overlap is a parallelogram of
-    unit Jacobian, so the area is width * width regardless of the pair.
-    """
-    if s1.direction == s2.direction:
-        return 0.0
-    return s1.width * s2.width
 
 
 def _triple_overlap(h: StripSpec, v: StripSpec, d: StripSpec) -> bool:
@@ -305,12 +285,11 @@ def validate_scenario(scenario: Scenario) -> OverlapReport:
                         f"triple overlap of H@{h.offset:.6g}, "
                         f"V@{v.offset:.6g} and D@{d.offset:.6g}")
 
-    pairs = []
-    for i, s1 in enumerate(strips):
-        for j in range(i + 1, len(strips)):
-            area = pairwise_overlap_area(s1, strips[j])
-            if area > 0.0:
-                pairs.append((i, j, area))
+    # Two strips of different directions meet in a parallelogram of unit
+    # Jacobian in the product of their shear charts: area width * width.
+    pairs = [(i, j, s1.width * s2.width)
+             for i, s1 in enumerate(strips) for j, s2 in enumerate(strips)
+             if i < j and s1.direction != s2.direction]
     total = sum(a for _, _, a in pairs)
     spacing = min(
         (_min_circular_gap(_along_windows(s, [t for t in strips if t is not s]))

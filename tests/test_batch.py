@@ -1,11 +1,12 @@
 """The vectorized engine checked against the scalar reference maps."""
-from dataclasses import replace
+import hashlib
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from stripflow import batch, estimator
-from stripflow.batch import assemble_words, run_batch, wrapped_return
+from stripflow.batch import BatchRun, assemble_words, run_batch, wrapped_return
 from stripflow.counting import CountingQM, homogenized_tuple
 from stripflow.estimator import (RETURN_TOL, _ramp_points, _ramp_scan,
                                  iterate_word)
@@ -238,6 +239,83 @@ def test_fast_path_matches_full_engine(N, ramp_fraction):
     if ramp_fraction < 1.0:
         assert _lone_count(scenario, 4 * m, x0, y0, home) > x0.size // 2
     _assert_fast_path_exact(scenario, 4 * m, x0, y0, home, m_snapshot=m)
+
+
+def _digest(value):
+    """sha256 of an array's dtype, shape and bytes (or of an int's repr)."""
+    if not isinstance(value, np.ndarray):
+        return hashlib.sha256(repr(value).encode()).hexdigest()
+    head = f"{value.dtype.str}{value.shape}".encode()
+    return hashlib.sha256(head + value.tobytes()).hexdigest()
+
+
+# Every BatchRun field, with the events in one canonical order, of two
+# fixed N = 2 batches (K = 4m, snapshot at m): any change to the engine's
+# float ops, event keys or flags changes a digest.
+PINNED_DIGESTS = {
+    0.125: {
+        "x_end":
+            "56936ac4c45e62cb579888fd3a22925e7c076da355d60e7abec17386f690fdb7",
+        "y_end":
+            "017362af4561f3479478205bec986a9643708565024928c84f831c5c27af4624",
+        "x_m":
+            "d471eb0a1d8eb7888aca786bdb22113d0f3b03d9ab2a48de5c0bfe23eaced0fb",
+        "y_m":
+            "7546b6b9db92ac074cc943e445ae4c149bc6e84cfb372bc4a7c47b99e46d24cb",
+        "moved":
+            "9d46b8c48d710bfbfb04c11349312ea774f865b4b01684e9434bb08174f18384",
+        "foreign":
+            "36c57ea3a2dd021c78f854b86f7433faf42be47561b3e82e4e2ebe0fb35ba068",
+        "degenerate":
+            "35dae8a7cb479f55e276639188d56216fe63fc90848997ae3811acafc6a19e89",
+        "event_sample":
+            "0cb04fc4b435aedbe40b78130566ecf5fa4bdf17f1b7f26a6d5a8866c51d31b6",
+        "event_key":
+            "831db9d21a53a912682125482a2a73b41ad3528774e208b973aac21527bbbea2",
+        "event_letter":
+            "c85e800065507b43669ab3564f6fc2b960d6c19a0117c790f7b737b84bc0dd1a",
+        "applications_per_step":
+            "e7f6c011776e8db7cd330b54174fd76f7d0216b612387a5ffcfb81e6f0919683",
+    },
+    1.0: {
+        "x_end":
+            "5dcff7bb3a72d9a384a6318996282cd4b2912bbf192ab7e83cbb5a35e7c3b458",
+        "y_end":
+            "fd32580287ef3c14be07ebaca899a698740365798e2fa76473212be71f8f2ad4",
+        "x_m":
+            "9435a7092624ef140253fc54fb56a3b0f1f36cb6471296ac4b90681601ff91ce",
+        "y_m":
+            "29b2d348014bc2ae040e41e85f88667e9e809bf530480123911c2fe5e4d79377",
+        "moved":
+            "9d46b8c48d710bfbfb04c11349312ea774f865b4b01684e9434bb08174f18384",
+        "foreign":
+            "9d46b8c48d710bfbfb04c11349312ea774f865b4b01684e9434bb08174f18384",
+        "degenerate":
+            "35dae8a7cb479f55e276639188d56216fe63fc90848997ae3811acafc6a19e89",
+        "event_sample":
+            "a10208d223862a7be89b33243ee45cf834f83eacc4a29a579590fcc0fed65239",
+        "event_key":
+            "d122e14fd9f646d4cb9ad390d19396af72dfb1371ca91292ce88b949b03ac92c",
+        "event_letter":
+            "a1487c576ce8ae5528a8ad269b052ad9c14325d4a350128dede7054984d6b4f3",
+        "applications_per_step":
+            "e7f6c011776e8db7cd330b54174fd76f7d0216b612387a5ffcfb81e6f0919683",
+    },
+}
+
+
+@pytest.mark.parametrize("ramp_fraction", sorted(PINNED_DIGESTS))
+def test_run_batch_bits_are_pinned(ramp_fraction):
+    scenario = build_scenario(2, 0.08, 32, 0.02, ramp_fraction=ramp_fraction)
+    m = scenario.m
+    x0, y0, home = _sample_batch(scenario, 150, seed=2)
+    run = run_batch(scenario, scenario.tau, 4 * m, x0, y0, home,
+                    collect=True, m_snapshot=m)
+    values = {f.name: getattr(run, f.name) for f in fields(BatchRun)}
+    values.update(zip(("event_sample", "event_key", "event_letter"),
+                      _events(run)))
+    digests = {name: _digest(v) for name, v in values.items()}
+    assert digests == PINNED_DIGESTS[ramp_fraction]
 
 
 @pytest.mark.parametrize("collect,compact_fixed,m_snapshot",

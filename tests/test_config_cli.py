@@ -235,7 +235,7 @@ def test_cli_sweep_matches_golden_csv(name, tmp_path, capsys):
     assert capsys.readouterr().out == out.read_text()
     # the stdout of the other commands, byte for byte
     for command, *flags in (["run", "--dump-scenario"], ["validate"],
-                            ["show-config"]):
+                            ["show-config"], ["props"]):
         assert main([command, cfg, *flags]) == 0
         golden = GOLDEN / f"{name}.{command}.txt"
         assert capsys.readouterr().out == golden.read_text(encoding="utf-8")

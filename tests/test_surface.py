@@ -19,9 +19,6 @@ def test_holed_torus_bounds():
         HoledTorus(0.0)
     with pytest.raises(ValueError):
         HoledTorus(0.1)
-    t = HoledTorus(0.02)
-    assert t.in_hole(0.01, 0.99)
-    assert not t.in_hole(0.03, 0.01)
 
 
 def test_frac_equals_mod_one_bit_for_bit():
@@ -43,13 +40,13 @@ def test_frac_equals_mod_one_bit_for_bit():
 
 def test_strip_transverse_and_membership():
     h = StripSpec("H", 0.3, 0.1, 1, 0.0, 0)
-    assert h.contains(0.77, 0.35)
-    assert not h.contains(0.77, 0.45)
+    assert h.transverse(0.77, 0.35) < h.width
+    assert not h.transverse(0.77, 0.45) < h.width
     v = StripSpec("V", 0.3, 0.1, 1, 0.0, 0)
-    assert v.contains(0.35, 0.9)
+    assert v.transverse(0.35, 0.9) < v.width
     d = StripSpec("D", 0.3, 0.1, -1, 0.0, 0)
-    assert d.contains(0.75, 0.4)  # u = 0.35
-    assert d.contains(0.1, 0.75)  # u = -0.65 = 0.35 mod 1
+    assert d.transverse(0.75, 0.4) < d.width  # u = 0.35
+    assert d.transverse(0.1, 0.75) < d.width  # u = -0.65 = 0.35 mod 1
 
 
 def test_build_example_from_grid_phases():
