@@ -15,6 +15,7 @@ fold sums the per-class table.
 from __future__ import annotations
 
 import concurrent.futures
+import math
 import os
 from dataclasses import dataclass
 
@@ -369,6 +370,9 @@ def iterate_word(scenario: Scenario, q: CountingQM, p: tuple[float, float],
     """Track one point for K composed steps and classify its orbit."""
     if K < 1:
         raise ValueError("K must be >= 1")
+    x0, y0 = float(p[0]), float(p[1])
+    if not (math.isfinite(x0) and math.isfinite(y0)):
+        raise ValueError(f"start point {p!r} is not finite")
     m = scenario.m
 
     def walk(x, y):
@@ -377,8 +381,7 @@ def iterate_word(scenario: Scenario, q: CountingQM, p: tuple[float, float],
                               m_snapshot=m)
         return x, y, np.array([run], dtype=object), run.degenerate
 
-    x, y, (run,) = _nudged(walk, np.array([float(p[0])]),
-                           np.array([float(p[1])]))
+    x, y, (run,) = _nudged(walk, np.array([x0]), np.array([y0]))
     p = (float(x[0]), float(y[0]))
     end = (float(run.x_end[0]), float(run.y_end[0]))
     events = batch.assemble_words(run, 1) if run.foreign[0] else {}

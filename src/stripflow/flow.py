@@ -14,8 +14,10 @@ maps in the plane lift, which carries the winding bookkeeping for free, and
 sums the composition's generating function along the way.
 ``apply_composed_inverse`` reads the pulled-back point off it and
 ``generator_value`` the generator at one point.  One series of generator grids
-feeds ``hofer_upper_bound`` and ``calabi``: the grid is folded once, and per
-time node only its points on some ramp are folded again.  That is exact, as
+feeds ``hofer_upper_bound`` and ``calabi``: the grid is folded once at
+t = 0, in row blocks and without the moves, which are all by +-0.0 there;
+per time node only its points on some ramp are folded again, into one
+reused buffer, so the series holds about 3 grid arrays.  That is exact, as
 a point on no ramp is never moved, so its terms do not depend on t.
 ``calabi_region_decomposition`` gives Calabi in closed form.
 ``flux_check`` and ``per_copy_flux`` (defined in ``surface``, which
@@ -131,10 +133,12 @@ def _generator_fold(scenario: Scenario, t: float, x, y):
     maps of strips 0..j-1 (those act after it in the composition); working
     in the plane lift keeps every term single valued, and zero total flux
     makes the sum descend to the torus.  A point no strip meets on its ramp
-    is never moved, so its terms do not depend on t.
+    is never moved, so its terms do not depend on t.  x and y broadcast; at
+    t = 0 every move is by +-0.0, a no-op, so the moves are skipped and an
+    H or V term on a row x column pair costs one row or column.
     """
-    g = np.zeros_like(x)
-    met = np.zeros(x.shape, dtype=bool)
+    g = np.zeros(np.broadcast(x, y).shape)
+    met = np.zeros(g.shape, dtype=bool)
     xy = [x, y]
     for strip in scenario.strips:
         # d is this strip's inverse time-t displacement: it advances the chain
@@ -142,8 +146,9 @@ def _generator_fold(scenario: Scenario, t: float, x, y):
         g += _HAMILTONIAN_SIGN[strip.direction] * strip.orientation \
             * _profile_lift(strip, s)
         met |= on_ramp
-        for a in DIRECTION_AXES[strip.direction]:
-            xy[a] = xy[a] + d
+        if t:
+            for a in DIRECTION_AXES[strip.direction]:
+                xy[a] = xy[a] + d
     return g, met, xy
 
 
@@ -214,27 +219,37 @@ class HoferBound:
     oscillations: tuple[float, ...]
 
 
+# Grid points per row block of the generator series' t = 0 fold.
+_CHUNK_SAMPLES = 1 << 16
+
+
 @functools.lru_cache(maxsize=1)
 def _generator_series(scenario: Scenario, tau: float, time_samples: int,
                       space_samples: int):
     """Per midpoint time node, the oscillation and the mean of the generator
     on one space grid; the sweep asks for both in turn, so the last is kept.
 
-    The grid, with (0, 0) last, is folded once at t = 0, where nothing
-    moves; per node only the points on some ramp there (and the origin)
-    are folded again.  The rest are never moved, so their sums are the
-    t = 0 ones bit for bit, and every node equals ``_generator_grid``.
+    The grid is folded at t = 0 in row blocks of ``_CHUNK_SAMPLES`` points;
+    per node only its points on some ramp, and the origin, are folded
+    again.  The rest are never moved, so their sums are the t = 0 ones bit
+    for bit, and every node equals ``_generator_grid``.
     """
-    gx, gy = (np.append(c, 0.0) for c in cell_centers(space_samples))
-    base, ramp, _ = _generator_fold(scenario, 0.0, gx, gy)
-    ramp[-1] = True
-    rx, ry = gx[ramp], gy[ramp]
+    n = space_samples
+    xs = (np.arange(n) + 0.5) / n
+    base, ramp = np.empty((n, n)), np.empty((n, n), dtype=bool)
+    rows = max(1, _CHUNK_SAMPLES // n)
+    for r in range(0, n, rows):
+        base[r:r + rows], ramp[r:r + rows], _ = _generator_fold(
+            scenario, 0.0, xs[r:r + rows, None], xs[None, :])
+    idx = np.flatnonzero(ramp)
+    rx, ry = np.append(xs[idx // n], 0.0), np.append(xs[idx % n], 0.0)
+    g = np.empty(n * n)
     oscs, means = [], []
     for i in range(time_samples):
-        raw = base.copy()
-        raw[ramp] = _generator_fold(
-            scenario, (i + 0.5) / time_samples * tau, rx, ry)[0]
-        g = raw[:-1] - raw[-1]
+        raw = _generator_fold(scenario, (i + 0.5) / time_samples * tau,
+                              rx, ry)[0]
+        np.subtract(base.ravel(), raw[-1], out=g)
+        g[idx] = raw[:-1] - raw[-1]
         oscs.append(float(g.max() - g.min()))
         means.append(float(g.mean()))
     return tuple(oscs), tuple(means)

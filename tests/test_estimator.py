@@ -1,4 +1,5 @@
 """Trajectory estimator: classification, iterate_word, rho estimates."""
+import math
 import warnings
 
 import numpy as np
@@ -93,6 +94,17 @@ def test_iterate_word_nudges_end_point_on_cut_line():
     rec = iterate_word(s, AB, (1.125, 0.625), 1)
     assert rec.kind == "bad"
     assert rec.start == (1.125 + 1e-9, 0.625 + 1e-9)
+
+
+@pytest.mark.parametrize("p", [(math.nan, 0.4), (math.inf, 0.4)],
+                         ids=["nan", "inf"])
+def test_iterate_word_rejects_non_finite_start(p):
+    # one ValueError naming the point, before any array work warns
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as err:
+            iterate_word(_scenario(), AB, p, 16)
+    assert str(err.value) == f"start point {p!r} is not finite"
 
 
 @pytest.mark.parametrize("grid", [60, 100])

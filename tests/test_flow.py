@@ -1,5 +1,7 @@
 """Flow engine: shear maps, generator, Hofer bound, Calabi, flux."""
+import hashlib
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from stripflow.flow import (HoferBound, Profile, apply_composed,
                             calabi_region_decomposition, copy_oscillation_bound,
                             flux_check, generator_drift_rate, generator_value,
                             hofer_upper_bound, per_copy_flux, require_validity,
-                            strip_profile, _generator_grid)
+                            strip_profile, cell_centers, _generator_grid)
 from stripflow.surface import (HoledTorus, Scenario, StripSpec, build_scenario,
                                validate_scenario)
 from stripflow.counting import CountingQM
@@ -173,27 +175,33 @@ def test_hofer_bound_stable_under_doubling_N():
 
 
 def test_hofer_and_calabi_share_one_generator_pass(monkeypatch):
-    # the series folds the full grid once and then only its ramp points,
-    # yet every node equals a full fold of that node's grid bit for bit
+    # the series folds the full grid once at t = 0 and then, per node, only
+    # its ramp points and the origin, yet every node equals a full fold of
+    # that node's grid bit for bit
     n, time_samples = 90, 4
-    full_folds = []
+    t0_points, node_points = [], []
     real_fold = flow._generator_fold
 
     def counted(scenario, t, x, y):
-        if x.size == n * n + 1:
-            full_folds.append(t)
+        if t == 0.0:
+            t0_points.append(np.broadcast(x, y).size)
+        else:
+            node_points.append(np.size(x))
         return real_fold(scenario, t, x, y)
 
     monkeypatch.setattr(flow, "_generator_fold", counted)
     flow._generator_series.cache_clear()
     for N, kw in [(1, {}), (2, {}), (1, {"ramp_fraction": 1.0}),
                   (2, {"ramp_fraction": 1.0})]:
-        full_folds.clear()
+        t0_points.clear()
+        node_points.clear()
         s = _scenario(N=N, T=0.16 / N, m=16 * N, **kw)
+        ramp = int(real_fold(s, 0.0, *cell_centers(n))[1].sum())
         bound = hofer_upper_bound(s, s.tau, time_samples=time_samples,
                                   space_samples=n)
         cal = calabi(s, s.tau, time_samples=time_samples, space_samples=n)
-        assert full_folds == [0.0]
+        assert sum(t0_points) == n * n
+        assert node_points == [ramp + 1] * time_samples
         grids = [_generator_grid(s, (i + 0.5) / time_samples * s.tau, n)
                  for i in range(time_samples)]
         assert [o.hex() for o in bound.oscillations] == \
@@ -201,9 +209,73 @@ def test_hofer_and_calabi_share_one_generator_pass(monkeypatch):
         means = [float(g.mean()) for g in grids]
         assert cal.hex() == (s.tau * float(np.mean(means))).hex()
         # other arguments compute a new series
-        full_folds.clear()
+        t0_points.clear()
         calabi(s, s.tau, time_samples=2, space_samples=n)
-        assert full_folds == [0.0]
+        assert sum(t0_points) == n * n
+
+
+# sha256 of the joined generator_value(s, 0.0, p).hex() over _T0_POINTS,
+# recorded from a fold that still applied its +-0.0 moves at t = 0
+_T0_DIGESTS = {
+    (1, 0.125):
+        "409a5b5258fc6237a659292acf7537f17be6cb16ba6868fbfee3f08d2e7689e5",
+    (1, 1.0):
+        "5af2852df45dce89bac13a1313eab7366bee8de85e4270db18de948809a70f9c",
+    (2, 0.125):
+        "c18bb8a0ad1e37e0657281a79a516ee3c2f4598a65ecf375fa54d0a245dc2f27",
+    (2, 1.0):
+        "408b63fcf9d27715a57cc3aafc940cdceb275afb84ee7117cad6028b03e18922",
+}
+_rng = random.Random(5)
+_T0_POINTS = [(_rng.uniform(-0.5, 1.5), _rng.uniform(-0.5, 1.5))
+              for _ in range(200)]
+
+
+@pytest.mark.parametrize("N, ramp_fraction", list(_T0_DIGESTS))
+def test_generator_series_across_row_blocks(monkeypatch, N, ramp_fraction):
+    # 97 rows in blocks of 9: 11 blocks, the last of 7 rows
+    n, time_samples = 97, 3
+    monkeypatch.setattr(flow, "_CHUNK_SAMPLES", 9 * n + 5)
+    blocks = []
+    real_fold = flow._generator_fold
+
+    def counted(scenario, t, x, y):
+        if t == 0.0:
+            blocks.append(np.broadcast(x, y).shape)
+        return real_fold(scenario, t, x, y)
+
+    monkeypatch.setattr(flow, "_generator_fold", counted)
+    flow._generator_series.cache_clear()
+    s = _scenario(N=N, T=0.16 / N, m=16 * N, ramp_fraction=ramp_fraction)
+    oscs, means = flow._generator_series(s, s.tau, time_samples, n)
+    assert blocks == [(9, n)] * 10 + [(7, n)]
+    grids = [_generator_grid(s, (i + 0.5) / time_samples * s.tau, n)
+             for i in range(time_samples)]
+    assert [o.hex() for o in oscs] == \
+        [float(g.max() - g.min()).hex() for g in grids]
+    assert [v.hex() for v in means] == [float(g.mean()).hex() for g in grids]
+    flow._generator_series.cache_clear()
+    # t = 0 skips the moves, which leaves every point and value unchanged
+    assert all(apply_composed_inverse(s, 0.0, p) == p for p in _T0_POINTS)
+    values = " ".join(generator_value(s, 0.0, p).hex() for p in _T0_POINTS)
+    assert hashlib.sha256(values.encode()).hexdigest() == \
+        _T0_DIGESTS[N, ramp_fraction]
+
+
+def test_generator_series_memory_stays_near_three_grids():
+    # the refined-hofer grid: t = 0 sums, the node buffer and the ramp
+    # mask; the old series held about 10 grid-sized arrays at once
+    n = 800
+    s = _scenario(N=2, T=0.08, m=32)
+    flow._generator_series.cache_clear()
+    tracemalloc.start()
+    try:
+        flow._generator_series(s, s.tau, 2, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        flow._generator_series.cache_clear()
+    assert peak < 4 * 8 * n * n
 
 
 @pytest.mark.parametrize("call", [
