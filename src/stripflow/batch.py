@@ -10,7 +10,11 @@ Given each sample's home strip, run_batch first picks out the lone orbits
 (samples that only ever sit on their home ramp) and moves them along their
 home direction in the same pass; they trace one straight segment and emit
 no events.  Only the rest run through the full engine, which tests every
-sample against all 3N strips every step.
+sample against all 3N strips every step.  Along with each live sample's
+position it carries per strip whether that strip is not the sample's home
+and, when collecting events, the floor of each coordinate, updated once
+per move; both are sliced with the positions when the samples that never
+moved are dropped.
 
 One rule flags a sample that has no exact word: its start or end point
 lies on a cut line, or a foreign strip moved it and one of its moves
@@ -105,6 +109,8 @@ def _run_engine(scenario: Scenario, t: float, n_steps: int,
     strips = scenario.strips
     n_strips = len(strips)
     xy = [x0[ids], y0[ids]]
+    floors = [np.floor(c) for c in xy] if collect else []
+    away = [hm != si for si in range(n_strips)]
     moved_live = np.zeros(ids.size, dtype=bool)
     foreign_live = np.zeros(ids.size, dtype=bool)
     # acting order: last listed strip acts first
@@ -118,16 +124,19 @@ def _run_engine(scenario: Scenario, t: float, n_steps: int,
         for pos, (si, strip, axes) in enumerate(acting):
             _, on_ramp, d = strip.shear(*xy, t)
             moved_live |= on_ramp
-            foreign_live |= on_ramp & (hm != si)
+            foreign_live |= on_ramp & away[si]
+            # skipping keeps a -0.0 coordinate as it is (-0.0 + 0.0 is 0.0)
             if not on_ramp.any():
                 continue
             seq = float(step * n_strips + pos)
             for a in axes:
                 new = xy[a] + d
                 if collect:  # the moves that change the floor
-                    cross = (np.floor(xy[a]) != np.floor(new)).nonzero()[0]
+                    floor = np.floor(new)
+                    cross = (floors[a] != floor).nonzero()[0]
                     moves.append((ids[cross], xy[a][cross], new[cross],
-                                  a + 1, seq))
+                                  floors[a][cross], floor[cross], a + 1, seq))
+                    floors[a] = floor
                 xy[a] = new
         if moves:
             events += _crossings(moves)
@@ -136,7 +145,9 @@ def _run_engine(scenario: Scenario, t: float, n_steps: int,
             alive = moved_live
             run.x_end[ids[~alive]], run.y_end[ids[~alive]] = (
                 c[~alive] for c in xy)
-            xy, ids, hm = [c[alive] for c in xy], ids[alive], hm[alive]
+            xy, floors, away = ([c[alive] for c in cs]
+                                for cs in (xy, floors, away))
+            ids = ids[alive]
             moved_live = moved_live[alive]
             foreign_live = foreign_live[alive]
         if step == snap:
@@ -149,15 +160,15 @@ def _run_engine(scenario: Scenario, t: float, n_steps: int,
 
 
 def _crossings(moves: list[tuple]) -> list[tuple]:
-    """Crossing events of one step's moves ``(ids, old, new, letter code,
-    seq)`` along one axis each: sample, key ``seq`` + crossing parameter,
-    signed letter, and whether the move starts or ends on a cut line (a
-    parameter within CUT_LINE_TOL of 0 or 1)."""
-    ids, old, new = (np.concatenate(c) for c in list(zip(*moves))[:3])
-    code, seq = np.repeat([m[3:] for m in moves], [m[0].size for m in moves],
+    """Crossing events of one step's moves ``(ids, old, new, floor of old,
+    floor of new, letter code, seq)`` along one axis each: sample, key
+    ``seq`` + crossing parameter, signed letter, and whether the move starts
+    or ends on a cut line (a parameter within CUT_LINE_TOL of 0 or 1)."""
+    ids, old, new, c0, c1 = (np.concatenate(c)
+                             for c in list(zip(*moves))[:5])
+    code, seq = np.repeat([m[5:] for m in moves], [m[0].size for m in moves],
                           axis=0).T
-    c0 = np.floor(old)
-    counts = (np.floor(new) - c0).astype(np.int64)
+    counts = (c1 - c0).astype(np.int64)
     out = []
     for j in range(1, int(np.abs(counts).max(initial=0)) + 1):
         sel = np.abs(counts) >= j
@@ -294,14 +305,12 @@ def assemble_words(run: BatchRun, n_samples: int,
     if s.size == 0:
         return {}
     order = np.lexsort((k, s))
-    s, letters = s[order], letters[order]
-    bounds = np.searchsorted(s, np.arange(n_samples + 1))
-    letter_list = letters.tolist()
-    out: dict[int, tuple[int, ...]] = {}
-    for i in np.unique(s):
-        lo, hi = bounds[i], bounds[i + 1]
-        out[int(i)] = tuple(letter_list[lo:hi])
-    return out
+    s = s[order]
+    starts = np.flatnonzero(np.diff(s, prepend=-1))
+    bounds = starts.tolist() + [s.size]
+    letter_list = letters[order].tolist()
+    return {i: tuple(letter_list[lo:hi])
+            for i, lo, hi in zip(s[starts].tolist(), bounds, bounds[1:])}
 
 
 def wrapped_return(x_m, y_m, x0, y0, tol: float) -> np.ndarray:

@@ -9,7 +9,9 @@ value of their period class; the rest contribute the finite-horizon
 quotient of their accumulated crossing word.  A sample that only its home
 strip moves reads its word off the segment it traces, the rest off events.
 One pass over the strips gives each point's home strip and multiplicity,
-periodic samples are classed once per winding pair, and one sequential
+periodic samples are classed once per winding pair, a bad sample's word is
+reduced once per distinct raw word (its crossing events and closing
+letters) and valued once per distinct reduced word, and one sequential
 fold sums the per-class table.
 """
 from __future__ import annotations
@@ -34,6 +36,7 @@ RETURN_TOL = 1e-9
 NUDGE_RETRIES = 3
 _CHUNK_SAMPLES = 180_000
 MAX_LINES_CROSSED = 10**5
+MAX_STEPS = 10**5
 
 
 @dataclass(frozen=True)
@@ -168,6 +171,11 @@ def _evaluate_batch(scenario: Scenario, q: CountingQM, K: int,
     Returns (values, kinds, keys, degenerate) with kinds 0 = stationary,
     1 = periodic, 2 = bad, and ``keys`` an object array holding each
     periodic sample's class and None for every other sample.
+
+    A bad sample's value depends only on its reduced K-step word.  For a
+    sample a foreign strip moved, that is the free reduction of its raw
+    word, crossing events then closing letters, so each distinct raw word
+    is reduced once; each distinct reduced word is homogenized once.
     """
     m = scenario.m
     pattern = q.pattern.letters
@@ -193,20 +201,29 @@ def _evaluate_batch(scenario: Scenario, q: CountingQM, K: int,
         [homogenized_tuple(pattern, c) / m for c in cores])[inverse]
 
     bad = np.nonzero((kinds == 2) & ~run.degenerate)[0]
-    events = batch.assemble_words(run, n, only=bad[run.foreign[bad]])
+    foreign = run.foreign[bad]
+    events = batch.assemble_words(run, n, only=bad[foreign])
     hh = scenario.surface.hole_halfwidth
     letters, declined = closing_letters(run.x_end[bad], run.y_end[bad],
                                         x[bad], y[bad], hh)
+    reduced = {}  # one reduced word per distinct raw (events, closing) pair
     valued = {}  # one value per distinct reduced K-step word
     bad_values = []
-    for i, letter, scalar in zip(bad.tolist(), letters.tolist(),
-                                 declined.tolist()):
+    for i, f, letter, scalar in zip(bad.tolist(), foreign.tolist(),
+                                    letters.tolist(), declined.tolist()):
         if scalar:
             close = closing_word((float(run.x_end[i]), float(run.y_end[i])),
-                                 (float(x[i]), float(y[i])), hh)[0]
+                                 (float(x[i]), float(y[i])), hh)[0].letters
         else:
-            close = Word((letter,) if letter else (), _reduced=True)
-        word = (_path_word(run, x, y, i, events) * close).letters
+            close = (letter,) if letter else ()
+        if f:  # free reduction is confluent: reduce events and close at once
+            raw = (events.get(i, ()), close)
+            if raw not in reduced:
+                reduced[raw] = reduce_letters(raw[0] + close)
+            word = reduced[raw]
+        else:
+            word = (_path_word(run, x, y, i, {})
+                    * Word(close, _reduced=True)).letters
         if word not in valued:
             valued[word] = homogenized_tuple(pattern, word) / K
         bad_values.append(valued[word])
@@ -244,6 +261,8 @@ def _evaluate_with_nudges(scenario: Scenario, q: CountingQM, K: int,
 def checked_K(scenario: Scenario, K: int | None) -> int:
     """Check the inputs both estimators share; return K (default 4m).
 
+    Every sample not dropped after the first step runs all K steps: K
+    above MAX_STEPS is refused (the default config runs K = 512 at N = 8).
     Over K steps a lone orbit crosses K * tau / ramp_width cut lines per
     axis, one letter each, read one crossing at a time.  More than
     MAX_LINES_CROSSED is refused; the default config crosses 32."""
@@ -256,6 +275,8 @@ def checked_K(scenario: Scenario, K: int | None) -> int:
         K = 4 * m
     if K % m != 0:
         raise ValueError(f"K={K} must be a multiple of m={m}")
+    if K > MAX_STEPS:
+        raise ValueError(f"K={K} steps, more than {MAX_STEPS}")
     lines = max((K * scenario.tau / s.ramp_width for s in scenario.strips),
                 default=0.0)
     if lines > MAX_LINES_CROSSED:

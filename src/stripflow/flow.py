@@ -221,6 +221,20 @@ class HoferBound:
 
 # Grid points per row block of the generator series' t = 0 fold.
 _CHUNK_SAMPLES = 1 << 16
+# The series holds two float64 grids and one bool grid, 17 bytes per point;
+# a larger one is refused before it is allocated.
+MAX_SERIES_BYTES = 1 << 31
+
+
+def require_series_size(space_samples: int):
+    """Raise ValueError if the generator series on a space_samples grid
+    would take more than MAX_SERIES_BYTES."""
+    need = 17 * space_samples ** 2
+    if need > MAX_SERIES_BYTES:
+        raise ValueError(
+            f"space_samples={space_samples}: the generator series needs "
+            f"{need / 2**30:.3g} GiB, more than "
+            f"{MAX_SERIES_BYTES / 2**30:g} GiB")
 
 
 @functools.lru_cache(maxsize=1)
@@ -234,6 +248,7 @@ def _generator_series(scenario: Scenario, tau: float, time_samples: int,
     again.  The rest are never moved, so their sums are the t = 0 ones bit
     for bit, and every node equals ``_generator_grid``.
     """
+    require_series_size(space_samples)
     n = space_samples
     xs = (np.arange(n) + 0.5) / n
     base, ramp = np.empty((n, n)), np.empty((n, n), dtype=bool)

@@ -1,5 +1,6 @@
 """The vectorized engine checked against the scalar reference maps."""
 import hashlib
+from collections import Counter
 from dataclasses import fields, replace
 
 import numpy as np
@@ -318,6 +319,135 @@ def test_run_batch_bits_are_pinned(ramp_fraction):
     assert digests == PINNED_DIGESTS[ramp_fraction]
 
 
+def _mixed_batch(scenario, n, seed):
+    """``_sample_batch`` plus uniform points, most on no ramp (home -1):
+    those never move, so the engine compacts them out after step 0."""
+    x, y, home = _sample_batch(scenario, n, seed)
+    u = np.random.default_rng(seed).random((2, 300))
+    return (np.concatenate([x, u[0]]), np.concatenate([y, u[1]]),
+            np.concatenate([home, _ramp_scan(scenario, *u)[0]]))
+
+
+# As PINNED_DIGESTS, of a batch whose engine compacts at step 0, with and
+# without collected events.
+PINNED_COMPACTED_DIGESTS = {
+    (0.125, False): {
+        "x_end":
+            "48f41e2359024d597d596c87f6f78b51f5a97d57a0c29b9ceab684bd7912286c",
+        "y_end":
+            "b507cf0e8126f88de69d9b78ea186d217b03d728c9f0be836de31a36082810a1",
+        "x_m":
+            "01570d082107c164d26c3babaa956edcf8470798d3d306333560459a16217434",
+        "y_m":
+            "165cb583b1ed420dd754a1d089ba8bab7bb77097dee2d1256132e0d8575241cb",
+        "moved":
+            "a0a2c66e9bfbfd9b854b80476ec76baef51f41ae4e0a890d45bc9b769e4e3234",
+        "foreign":
+            "e3053ef3b256c8dd51924fda81d8d9ae40fa0927d2c22dee69e923f81d6f82d9",
+        "degenerate":
+            "e3ecd9393b61a2de0454919fe86c105caff3f00694ad6148ee084f3a4791ee42",
+        "event_sample":
+            "dc937b59892604f5a86ac96936cd7ff09e25f18ae6b758e8014a24c7fa039e91",
+        "event_key":
+            "dc937b59892604f5a86ac96936cd7ff09e25f18ae6b758e8014a24c7fa039e91",
+        "event_letter":
+            "dc937b59892604f5a86ac96936cd7ff09e25f18ae6b758e8014a24c7fa039e91",
+        "applications_per_step":
+            "e7f6c011776e8db7cd330b54174fd76f7d0216b612387a5ffcfb81e6f0919683",
+    },
+    (0.125, True): {
+        "x_end":
+            "48f41e2359024d597d596c87f6f78b51f5a97d57a0c29b9ceab684bd7912286c",
+        "y_end":
+            "b507cf0e8126f88de69d9b78ea186d217b03d728c9f0be836de31a36082810a1",
+        "x_m":
+            "01570d082107c164d26c3babaa956edcf8470798d3d306333560459a16217434",
+        "y_m":
+            "165cb583b1ed420dd754a1d089ba8bab7bb77097dee2d1256132e0d8575241cb",
+        "moved":
+            "a0a2c66e9bfbfd9b854b80476ec76baef51f41ae4e0a890d45bc9b769e4e3234",
+        "foreign":
+            "e3053ef3b256c8dd51924fda81d8d9ae40fa0927d2c22dee69e923f81d6f82d9",
+        "degenerate":
+            "e3ecd9393b61a2de0454919fe86c105caff3f00694ad6148ee084f3a4791ee42",
+        "event_sample":
+            "adc2758daff900a8d9a51c12b2228fd3f4bfcd297f2b3eaafeab2d011728302b",
+        "event_key":
+            "a2b12dd262891699bf17bc389b3aeb60345f9a75c726e84a9b47f22be56f0f9c",
+        "event_letter":
+            "651346ea0a998fc9dc1744d8d3b7b7804bee7e699e1671c0c5972e24673c5bae",
+        "applications_per_step":
+            "e7f6c011776e8db7cd330b54174fd76f7d0216b612387a5ffcfb81e6f0919683",
+    },
+    (1.0, False): {
+        "x_end":
+            "c367c9cbfbd9b1a7d41f70dcd23ec96994da42804a1ec7c1cc5a5d6aaa391e55",
+        "y_end":
+            "0415b9f8784c4fa6da288bf70e5a31979c180f39f11cc4bbc4289e6538d1bc7c",
+        "x_m":
+            "77a8cddf95ea448e87f4e3b3138b02de20e7cd41ff8618de11439a61e5fd3b1f",
+        "y_m":
+            "74039e89a74a238d36f6c8beb9293980989520ab79b1c17223762dfc4693d64f",
+        "moved":
+            "bfaf22cf89203bd79900747ba51f0e328fd1318b8daa26f0ff5215eb1336aee1",
+        "foreign":
+            "bfaf22cf89203bd79900747ba51f0e328fd1318b8daa26f0ff5215eb1336aee1",
+        "degenerate":
+            "e3ecd9393b61a2de0454919fe86c105caff3f00694ad6148ee084f3a4791ee42",
+        "event_sample":
+            "dc937b59892604f5a86ac96936cd7ff09e25f18ae6b758e8014a24c7fa039e91",
+        "event_key":
+            "dc937b59892604f5a86ac96936cd7ff09e25f18ae6b758e8014a24c7fa039e91",
+        "event_letter":
+            "dc937b59892604f5a86ac96936cd7ff09e25f18ae6b758e8014a24c7fa039e91",
+        "applications_per_step":
+            "e7f6c011776e8db7cd330b54174fd76f7d0216b612387a5ffcfb81e6f0919683",
+    },
+    (1.0, True): {
+        "x_end":
+            "c367c9cbfbd9b1a7d41f70dcd23ec96994da42804a1ec7c1cc5a5d6aaa391e55",
+        "y_end":
+            "0415b9f8784c4fa6da288bf70e5a31979c180f39f11cc4bbc4289e6538d1bc7c",
+        "x_m":
+            "77a8cddf95ea448e87f4e3b3138b02de20e7cd41ff8618de11439a61e5fd3b1f",
+        "y_m":
+            "74039e89a74a238d36f6c8beb9293980989520ab79b1c17223762dfc4693d64f",
+        "moved":
+            "bfaf22cf89203bd79900747ba51f0e328fd1318b8daa26f0ff5215eb1336aee1",
+        "foreign":
+            "bfaf22cf89203bd79900747ba51f0e328fd1318b8daa26f0ff5215eb1336aee1",
+        "degenerate":
+            "e3ecd9393b61a2de0454919fe86c105caff3f00694ad6148ee084f3a4791ee42",
+        "event_sample":
+            "b19d7449fe60073798a458a98724082f93cd3d0626f6526f53fa6f18f81e2c9d",
+        "event_key":
+            "169c11908441125ffc50f10f743d4087b8124f15ee1fd4ebfcdc1a8a2455b729",
+        "event_letter":
+            "42a185cbb6906a3fcecf3d8e96e832262af335481f8dc49b42eddb1fe0d695ab",
+        "applications_per_step":
+            "e7f6c011776e8db7cd330b54174fd76f7d0216b612387a5ffcfb81e6f0919683",
+    },
+}
+
+
+@pytest.mark.parametrize("ramp_fraction,collect",
+                         sorted(PINNED_COMPACTED_DIGESTS))
+def test_run_batch_bits_after_compaction_are_pinned(ramp_fraction, collect):
+    scenario = build_scenario(2, 0.08, 32, 0.02, ramp_fraction=ramp_fraction)
+    m = scenario.m
+    x0, y0, home = _mixed_batch(scenario, 150, seed=4)
+    run = run_batch(scenario, scenario.tau, 4 * m, x0, y0, home,
+                    collect=collect, m_snapshot=m)
+    # the off-ramp points never move: the engine drops them after step 0
+    assert (home == -1).sum() > 150 and not run.moved[home == -1].any()
+    values = {f.name: getattr(run, f.name) for f in fields(BatchRun)}
+    if collect:
+        values.update(zip(("event_sample", "event_key", "event_letter"),
+                          _events(run)))
+    digests = {name: _digest(v) for name, v in values.items()}
+    assert digests == PINNED_COMPACTED_DIGESTS[ramp_fraction, collect]
+
+
 @pytest.mark.parametrize("collect,compact_fixed,m_snapshot",
                          [(False, True, 16), (True, False, 16),
                           (True, True, None), (True, True, 0),
@@ -538,12 +668,54 @@ def test_evaluate_batch_matches_event_words(N, m, ramp_fraction, monkeypatch):
     # only the samples a foreign strip moved read their crossing events
     foreign = runs[0].foreign
     assert all(foreign[only].all() for only in assembled)
-    assert len(reduced) == int((foreign & (kinds == 2) & ~degenerate).sum())
+    # one reduction per distinct raw word: (events, closing letters)
+    bad = np.nonzero(foreign & (kinds == 2) & ~degenerate)[0]
+    assert Counter(reduced) == Counter(
+        events + close for events, close in _raw_words(runs[0], x0, y0, bad,
+                                                       scenario))
     non_foreign = ~foreign & (kinds > 0)
     if ramp_fraction == 1.0:  # every moved sample meets a foreign ramp
         assert not non_foreign.any() and reduced
     else:
         assert non_foreign.sum() > x0.size // 2
+
+
+def _raw_words(run, x0, y0, idx, scenario):
+    """The distinct (crossing events, closing letters) pairs of the samples
+    ``idx``."""
+    events = assemble_words(run, x0.size, only=idx)
+    hh = scenario.surface.hole_halfwidth
+    return {(events.get(i, ()),
+             closing_word((float(run.x_end[i]), float(run.y_end[i])),
+                          (float(x0[i]), float(y0[i])), hh)[0].letters)
+            for i in idx.tolist()}
+
+
+def test_evaluate_batch_reduces_each_raw_word_once(monkeypatch):
+    """On full ramps every moved sample is bad and foreign, yet few distinct
+    raw words reach reduce_letters; the values are the oracle's bit for
+    bit."""
+    scenario = build_scenario(2, 0.08, 32, 0.02, ramp_fraction=1.0)
+    K = 2 * scenario.m
+    x0, y0, home = _sample_batch(scenario, 300, seed=7)
+    expected = _event_oracle(scenario, AB, K, x0, y0, home)
+    reduced = []
+    real_reduce = estimator.reduce_letters
+
+    def spy_reduce(raw):
+        reduced.append(raw)
+        return real_reduce(raw)
+
+    monkeypatch.setattr(estimator, "reduce_letters", spy_reduce)
+    values, kinds, keys, degenerate = estimator._evaluate_batch(
+        scenario, AB, K, x0, y0, home)
+    assert _same_bits(values, expected[0])
+    assert (kinds == expected[1]).all()
+    assert keys.tolist() == expected[2].tolist()
+    assert _same_bits(degenerate, expected[3])
+    bad = np.count_nonzero((kinds == 2) & ~degenerate)
+    assert bad > 1500
+    assert 0 < len(reduced) < 0.05 * bad
 
 
 def test_evaluate_batch_closes_bad_orbits_in_arrays(monkeypatch):

@@ -2,6 +2,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from dataclasses import fields
 from pathlib import Path
@@ -291,7 +294,16 @@ BROKEN = {
                            "invalid_config"),
     "run_ramp_1e-9": ("run", "ramp_fraction = 1e-9", 2, "invalid_config"),
     "run_ramp_1e-5": ("run", "ramp_fraction = 1e-5", 2, "invalid_config"),
+    # too many steps (K = 4e20 crosses 6.4 lines per axis)
+    "validate_m_1e20": ("validate", "m = 1e20", 2, "invalid_config"),
+    "run_m_1e20": ("run", "m = 1e20", 2, "invalid_config"),
+    # a generator series of 17 * 100000^2 bytes
+    "validate_space_samples_1e5": ("validate", "space_samples = 100000", 2,
+                                   "invalid_config"),
+    "run_space_samples_1e5": ("run", "space_samples = 100000", 2,
+                              "invalid_config"),
 }
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.mark.parametrize("case", sorted(BROKEN))
@@ -301,6 +313,15 @@ def test_cli_error_contract(case, tmp_path, capsys):
     text = TINY + line.format(tmp=tmp_path) + "\n"
     p.write_bytes(text.encode("utf-8", "surrogateescape"))
     args = [command, str(p)] + (["--filter", "flux"] if command == "props" else [])
+    if command == "run":  # a config let through would sample: it may hang
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-m", "stripflow.cli", *args],
+                              capture_output=True, text=True, env=env,
+                              timeout=60)
+        assert done.returncode == code
+        assert _one_error_record(done.stderr)["error"] == error
+        return
     assert main(args) == code
     assert _one_error_record(capsys.readouterr().err)["error"] == error
 
