@@ -7,14 +7,15 @@ letters of a sample's word globally (the event arrays themselves come in
 no particular order).  Exact piecewise translations: no integration error.
 
 Given each sample's home strip, run_batch first picks out the lone orbits
-(samples that only ever sit on their home ramp) and moves them along their
-home direction in the same pass; they trace one straight segment and emit
-no events.  Only the rest run through the full engine, which tests every
-sample against all 3N strips every step.  Along with each live sample's
-position it carries per strip whether that strip is not the sample's home
-and, when collecting events, the floor of each coordinate, updated once
-per move; both are sliced with the positions when the samples that never
-moved are dropped.
+(samples that only ever sit on their home ramp), each tested once per
+direction against the ramps shifted along its path, and moves them along
+their home direction: one straight segment each, with no events.  Only
+the rest run through the full engine, which tests every sample against
+all 3N strips every step.  Along with each live sample's position it
+carries per strip whether that strip is not the sample's home and, when
+collecting events, the floor of each coordinate, updated once per move;
+both are sliced with the positions when the samples that never moved are
+dropped.
 
 One rule flags a sample that has no exact word: its start or end point
 lies on a cut line, or a foreign strip moved it and one of its moves
@@ -24,13 +25,13 @@ its steps are never checked.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .surface import (CUT_LINE_TOL, DIRECTION_AXES, DIRECTIONS, Scenario,
-                      frac, near_cut_line, transverse_lift)
+from .surface import (CUT_LINE_TOL, DIRECTION_AXES, DIRECTION_VECTORS,
+                      DIRECTIONS, TRANSVERSE_GRADIENT, Scenario, frac,
+                      near_cut_line, transverse_lift)
 
 
 @dataclass
@@ -184,35 +185,34 @@ def _crossings(moves: list[tuple]) -> list[tuple]:
 # -- lone orbits ---------------------------------------------------------------
 #
 # A lone orbit sits on no ramp but its home strip's, at every position of
-# its path.  Its home ramp then moves it by the same displacement every
-# step and every other strip leaves it alone, so the full engine's float
-# additions reduce to one per moving coordinate and step.
-
-# Per direction, the ramps are looked up in _BINS equal bins over [0, 1); a
-# bin counts as touched by a ramp within _MARGIN of it.  The margin
-# absorbs the rounding of the ramp test and the drift of x - y under the
-# additions; _lone_orbits checks that bound per sample.
-_BINS = 1 << 16
+# its path: its home ramp moves it by the same d every step, so the full
+# engine's float additions reduce to one per moving coordinate and step.
+# Its transverse coordinate c in its home direction stays put, and in a
+# foreign one runs through c + k * shift, k = 0..n_steps, with shift = d *
+# (gradient . home direction).  So each sample is tested once per direction
+# against a cover: the c with some c + k * shift within _MARGIN of a ramp.
+# The margin absorbs the rounding of the ramp test, of the cover and of the
+# path's additions; _lone_orbits checks that bound per sample.
 _MARGIN = 1e-9
 
 
-def _ramp_owners(strips) -> dict[str, np.ndarray]:
-    """Per direction, the index of the one strip whose ramp touches each
-    bin: -1 for none, -2 for several."""
-    owners = {d: np.full(_BINS, -1, dtype=np.int32) for d in DIRECTIONS}
-    for si, s in enumerate(strips):
-        lo = math.floor((s.offset + s.smoothing - _MARGIN) * _BINS)
-        hi = math.floor((s.offset + s.width - s.smoothing + _MARGIN) * _BINS)
-        bins = np.arange(lo, hi + 1) % _BINS
-        table = owners[s.direction]
-        table[bins] = np.where(table[bins] == -1, si, -2)
-    return owners
+def _cover(ramps, shift: float, n_steps: int):
+    """The cover of the strips ``ramps`` under ``shift`` for n_steps steps:
+    its interval starts and ends mod 1, each sorted; wrapping ones split."""
+    lo = np.array([s.offset + s.smoothing - _MARGIN for s in ramps])
+    starts = frac(lo[:, None] - np.arange(n_steps + 1) * shift).ravel()
+    ends = starts + np.repeat([s.ramp_width + 2.0 * _MARGIN for s in ramps],
+                              n_steps + 1)
+    wrap = ends >= 1.0
+    return (np.sort(np.append(starts, np.zeros(np.count_nonzero(wrap)))),
+            np.sort(np.append(ends, ends[wrap] - 1.0)))
 
 
-def _bins(direction: str, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Bin of each point's transverse coordinate mod 1 (exact: no rounding)."""
-    c = transverse_lift(direction, x, y)
-    return np.floor(c * _BINS).astype(np.int64) & (_BINS - 1)
+def _covered(cover, c) -> np.ndarray:
+    """How many intervals of the cover hold each transverse coordinate c."""
+    starts, ends = cover
+    c = frac(c)
+    return np.searchsorted(starts, c, "right") - np.searchsorted(ends, c, "left")
 
 
 def _lone_orbits(scenario: Scenario, t: float, n_steps: int,
@@ -228,16 +228,11 @@ def _lone_orbits(scenario: Scenario, t: float, n_steps: int,
     but its home strip's under the exact ``StripSpec.shear`` test at every
     one of its n_steps + 1 positions.
     """
-    strips = scenario.strips
-    n = x0.size
-    owners = _ramp_owners(strips)
-    lone = np.zeros(n, dtype=bool)
-    shift = np.zeros(n)
-    moving_family = np.full(n, -1, dtype=np.int8)  # home direction if moving
-    for si, strip in enumerate(strips):
+    lone = np.zeros(x0.size, dtype=bool)
+    shift = np.zeros(x0.size)
+    moving_family = np.full(x0.size, -1, np.int8)  # home direction if moving
+    for si, strip in enumerate(scenario.strips):
         idx = np.nonzero(home == si)[0]
-        if idx.size == 0:
-            continue
         s, on_ramp, d = strip.shear(x0[idx], y0[idx], t)
         h = frac(s)
         # a moving orbit must stay on its home ramp while x - y drifts
@@ -246,44 +241,34 @@ def _lone_orbits(scenario: Scenario, t: float, n_steps: int,
         lone[idx] = ~on_ramp | inside
         shift[idx] = d
         moving_family[idx[on_ramp]] = DIRECTIONS.index(strip.direction)
-    # start: no ramp but the home strip's within the margin, in any
-    # direction; the home direction's coordinate keeps within the margin
-    for direction, owner in owners.items():
-        near = owner[_bins(direction, x0, y0)]
-        lone &= (near == -1) | (near == home)
     # rounding of the path's coordinates stays well inside the margin
     # (false for non-finite starts)
     reach = np.maximum(np.abs(x0), np.abs(y0)) + n_steps * np.abs(shift)
     lone &= (n_steps + 2) * (reach + 2.0) * 2.0 ** -48 < _MARGIN
 
-    busy = {d: owner != -1 for d, owner in owners.items()}
+    # per direction, one cover per shift: only a moving orbit's home ramp
+    # may hold its c (a still orbit near its home ramp is left out)
+    vectors = np.array([DIRECTION_VECTORS[o] for o in DIRECTIONS])
+    for code, direction in enumerate(DIRECTIONS):
+        ramps = [s for s in scenario.strips if s.direction == direction]
+        steps = shift * (vectors @ TRANSVERSE_GRADIENT[direction])[moving_family]
+        c = transverse_lift(direction, x0, y0)
+        ordered = np.sort(steps[lone])  # np.unique would import numpy.ma
+        for step in ordered[np.diff(ordered, prepend=np.nan) != 0].tolist():
+            ids = np.nonzero(lone & (steps == step))[0]
+            cover = _cover(ramps, step, n_steps if step else 0)
+            lone[ids] = _covered(cover, c[ids]) == (moving_family[ids] == code)
+
     for code, direction in enumerate(DIRECTIONS):
         ids = np.nonzero(lone & (moving_family == code))[0]
-        axes = DIRECTION_AXES[direction]
-        others = [(o, busy[o]) for o in DIRECTIONS if o != direction]
         xy, d = [x0[ids], y0[ids]], shift[ids]
-        snapshot = list(xy)  # replaced at step snap
-        hit = np.zeros(ids.size, dtype=bool)
-        for step in range(n_steps):
-            if not ids.size:
-                break
-            for a in axes:
+        for step in range(n_steps if ids.size else 0):
+            for a in DIRECTION_AXES[direction]:
                 xy[a] = xy[a] + d
-            for o, table in others:
-                hit |= table[_bins(o, *xy)]
             if step == snap:
-                snapshot = list(xy)
-            # drop the hit samples in bulk, and all that are left at the end
-            if 4 * np.count_nonzero(hit) > hit.size or step == n_steps - 1:
-                keep = ~hit
-                lone[ids[hit]] = False
-                ids, d, hit = ids[keep], d[keep], hit[keep]
-                xy = [c[keep] for c in xy]
-                snapshot = [c[keep] for c in snapshot]
+                run.x_m[ids], run.y_m[ids] = xy
         run.moved[ids] = True
         run.x_end[ids], run.y_end[ids] = xy
-        if snap >= 0:
-            run.x_m[ids], run.y_m[ids] = snapshot
     return lone
 
 

@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import ClassVar
 
 from .errors import ConfigError
-from .estimator import checked_K
+from .estimator import checked_K, require_sample_size
 from .flow import require_series_size
 from .surface import (AUTO, DEFAULT_PHASE_H, DEFAULT_PHASE_V,
                       DEFAULT_RAMP_FRACTION, Scenario, build_scenario,
@@ -110,7 +110,8 @@ class ExperimentConfig:
                 phases=(self.phase_H, self.phase_V, self.phase_D),
                 ramp_fraction=self.ramp_fraction)
             checked_K(scenario, self.K_for(scenario.m))
-            require_series_size(self.space_samples)
+            require_sample_size(self.samples_per_strip)
+            require_series_size(self.space_samples, self.time_samples)
         except ValueError as exc:
             raise ConfigError(f"N={N}: {exc}") from exc
         return scenario

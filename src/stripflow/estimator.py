@@ -26,8 +26,8 @@ import numpy as np
 from . import batch
 from .counting import CountingQM, homogenized_tuple
 from .errors import ConfigError, DegenerateCrossing
-from .flow import (cell_centers, flux_check, require_grid_sizes,
-                   require_validity)
+from .flow import (cell_centers, flux_check, require_budget,
+                   require_grid_sizes, require_validity)
 from .surface import (NUDGE, Scenario, StripSpec, closing_letters,
                       closing_word, crossing_word)
 from .words import Word, cyclic_core, reduce_letters
@@ -37,6 +37,10 @@ NUDGE_RETRIES = 3
 _CHUNK_SAMPLES = 180_000
 MAX_LINES_CROSSED = 10**5
 MAX_STEPS = 10**5
+# A chunk holds whole strips and peaks at about 300 bytes a sample, 540 if
+# all are bad (measured): a strip too big at SAMPLE_BYTES each is refused.
+SAMPLE_BYTES = 1024
+MAX_CHUNK_BYTES = 1 << 31
 
 
 @dataclass(frozen=True)
@@ -63,7 +67,6 @@ class RhoEstimate:
 @dataclass(frozen=True)
 class RhoPrediction:
     value: float
-    error_radius: float
 
 
 def deficiency(q: CountingQM) -> float:
@@ -80,10 +83,8 @@ def bad_rate_bound(scenario: Scenario) -> float:
 
 
 def rho_predicted(scenario: Scenario, q: CountingQM) -> RhoPrediction:
-    """Analytic prediction tau * N * d_r with the bad-set error radius."""
-    value = scenario.tau * scenario.N * deficiency(q)
-    budget = scenario.validation.bad_area_budget if scenario.validation else 0.0
-    return RhoPrediction(value=value, error_radius=budget * bad_rate_bound(scenario))
+    """Analytic prediction tau * N * d_r."""
+    return RhoPrediction(value=scenario.tau * scenario.N * deficiency(q))
 
 
 # -- sample generation ---------------------------------------------------------
@@ -275,14 +276,18 @@ def checked_K(scenario: Scenario, K: int | None) -> int:
         K = 4 * m
     if K % m != 0:
         raise ValueError(f"K={K} must be a multiple of m={m}")
-    if K > MAX_STEPS:
-        raise ValueError(f"K={K} steps, more than {MAX_STEPS}")
+    require_budget("K", K, K, MAX_STEPS, "steps")
     lines = max((K * scenario.tau / s.ramp_width for s in scenario.strips),
                 default=0.0)
-    if lines > MAX_LINES_CROSSED:
-        raise ValueError(f"K={K} steps cross {lines:.6g} cut lines per axis, "
-                         f"more than {MAX_LINES_CROSSED}")
+    require_budget("K", K, lines, MAX_LINES_CROSSED, "cut lines per axis")
     return K
+
+
+def require_sample_size(samples_per_strip: int):
+    """Raise ValueError unless a strip's samples, at least 1, fit a chunk."""
+    require_grid_sizes(samples_per_strip=samples_per_strip)
+    require_budget("samples_per_strip", samples_per_strip,
+                   SAMPLE_BYTES * samples_per_strip, MAX_CHUNK_BYTES, "bytes")
 
 
 def _per_class(keys: np.ndarray, area: np.ndarray, contrib: np.ndarray):
@@ -335,7 +340,7 @@ def rho_estimate(scenario: Scenario, q: CountingQM, K: int | None = None,
     result is reproducible and independent of worker partitioning.
     """
     K = checked_K(scenario, K)
-    require_grid_sizes(samples_per_strip=samples_per_strip)
+    require_sample_size(samples_per_strip)
     if workers is None:
         raw = os.environ.get("STRIPFLOW_WORKERS", "1")
         try:

@@ -173,6 +173,13 @@ def require_grid_sizes(**sizes: int):
             raise ValueError(f"{name} must be >= 1")
 
 
+def require_budget(key: str, value, need: float, limit: float, unit: str):
+    """The one form of every cost bound: ValueError if need > limit."""
+    if need > limit:
+        raise ValueError(
+            f"{key}={value} needs {need:.3g} {unit}, more than {limit:.3g}")
+
+
 def cell_centers(n: int):
     """The n x n grid of cell centers of the unit square, raveled (x, y)."""
     xs = (np.arange(n) + 0.5) / n
@@ -221,20 +228,21 @@ class HoferBound:
 
 # Grid points per row block of the generator series' t = 0 fold.
 _CHUNK_SAMPLES = 1 << 16
-# The series holds two float64 grids and one bool grid, 17 bytes per point;
-# a larger one is refused before it is allocated.
+# The series holds two float64 grids and one bool grid, 17 bytes per point,
+# and sweeps the grid once at t = 0 and once per time node (about 2e7 grid
+# points a second at N = 8); a larger one is refused before it is allocated.
 MAX_SERIES_BYTES = 1 << 31
+MAX_SERIES_POINTS = 10**10
 
 
-def require_series_size(space_samples: int):
-    """Raise ValueError if the generator series on a space_samples grid
-    would take more than MAX_SERIES_BYTES."""
-    need = 17 * space_samples ** 2
-    if need > MAX_SERIES_BYTES:
-        raise ValueError(
-            f"space_samples={space_samples}: the generator series needs "
-            f"{need / 2**30:.3g} GiB, more than "
-            f"{MAX_SERIES_BYTES / 2**30:g} GiB")
+def require_series_size(space_samples: int, time_samples: int):
+    """Raise ValueError if the generator series would hold more than
+    MAX_SERIES_BYTES or sweep more than MAX_SERIES_POINTS grid points."""
+    require_budget("space_samples", space_samples, 17 * space_samples ** 2,
+                   MAX_SERIES_BYTES, "bytes")
+    require_budget("time_samples", time_samples,
+                   (time_samples + 1) * space_samples ** 2, MAX_SERIES_POINTS,
+                   "grid points")
 
 
 @functools.lru_cache(maxsize=1)
@@ -248,7 +256,7 @@ def _generator_series(scenario: Scenario, tau: float, time_samples: int,
     again.  The rest are never moved, so their sums are the t = 0 ones bit
     for bit, and every node equals ``_generator_grid``.
     """
-    require_series_size(space_samples)
+    require_series_size(space_samples, time_samples)
     n = space_samples
     xs = (np.arange(n) + 0.5) / n
     base, ramp = np.empty((n, n)), np.empty((n, n), dtype=bool)

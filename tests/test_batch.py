@@ -12,8 +12,11 @@ from stripflow.counting import CountingQM, homogenized_tuple
 from stripflow.estimator import (RETURN_TOL, _ramp_points, _ramp_scan,
                                  iterate_word)
 from stripflow.flow import apply_composed
-from stripflow.surface import (build_scenario, closing_letters, closing_word,
-                               crossing_word, near_cut_line)
+from stripflow.surface import (DIRECTION_AXES, DIRECTION_VECTORS, DIRECTIONS,
+                               TRANSVERSE_GRADIENT, build_scenario,
+                               closing_letters, closing_word, crossing_word,
+                               frac, near_cut_line, scenario_from_text,
+                               transverse_lift)
 from stripflow.words import Word, cyclic_core, reduce_letters
 
 AB = CountingQM.from_text("ab")
@@ -556,6 +559,87 @@ def test_fast_path_far_lifts():
     for lift in (2.0 ** 20, 2.0 ** 44):
         _assert_fast_path_exact(scenario, 64, x0 + lift, y0 - lift, home,
                                 m_snapshot=16)
+
+
+def _cover_points(ramps, shift, n_steps, direction, rng):
+    """Uniform points, plus points whose transverse coordinate in
+    ``direction`` is a few margins from a ramp edge at a random step."""
+    margin = batch._MARGIN
+    c = [rng.random(200)]
+    for r in ramps:
+        for edge in (r.offset + r.smoothing, r.offset + r.width - r.smoothing):
+            for o in (-3.0, -1.5, -0.5, 0.0, 0.5, 1.5, 3.0):
+                k = rng.integers(0, n_steps + 1, 4)
+                c.append(edge + o * margin - k * shift)
+    c = frac(np.concatenate(c))
+    other = "V" if direction == "H" else "H"
+    return _point({direction: c, other: rng.random(c.size)})
+
+
+# at a lift of 2^20 one step keeps the rounding of a path within the margin
+@pytest.mark.parametrize("ramp_fraction,lift,n_steps", [
+    (0.125, 0.0, 64), (1.0, 0.0, 64), (0.125, 2.0 ** 20, 1),
+    (1.0, 2.0 ** 20, 1)])
+def test_cover_matches_the_ramp_test_at_every_step(ramp_fraction, lift,
+                                                   n_steps):
+    # each home strip's path against each direction's ramps: a path that
+    # StripSpec.shear puts on a ramp at some step is covered, and a covered
+    # path that it never puts on one passes within 2 margins of a ramp edge
+    scenario = build_scenario(2, 0.08, 32, 0.02, ramp_fraction=ramp_fraction)
+    rng = np.random.default_rng(41)
+    over = clear = 0
+    for home in scenario.strips:
+        d = home.orientation * scenario.tau / home.ramp_width
+        vx, vy = DIRECTION_VECTORS[home.direction]
+        for direction in DIRECTIONS:
+            ramps = [s for s in scenario.strips if s.direction == direction]
+            gx, gy = TRANSVERSE_GRADIENT[direction]
+            shift = (gx * vx + gy * vy) * d
+            x, y = _cover_points(ramps, shift, n_steps, direction, rng)
+            xy = [x + lift, y - lift]
+            cover = batch._cover(ramps, shift, n_steps)
+            covered = batch._covered(cover, transverse_lift(direction, *xy)) > 0
+            hit = np.zeros(x.size, dtype=bool)
+            near_edge = np.zeros(x.size, dtype=bool)
+            for _ in range(n_steps + 1):
+                for r in ramps:
+                    s, on_ramp, _ = r.shear(*xy, 0.0)
+                    hit |= on_ramp
+                    for edge in (r.smoothing, r.width - r.smoothing):
+                        gap = np.abs(frac(frac(s) - edge + 0.5) - 0.5)
+                        near_edge |= gap <= 2 * batch._MARGIN
+                for a in DIRECTION_AXES[home.direction]:
+                    xy[a] = xy[a] + d
+            assert covered[hit].all()
+            assert near_edge[covered & ~hit].all()
+            assert hit.any()
+            over += np.count_nonzero(covered & ~hit)
+            clear += np.count_nonzero(~covered)
+    assert over > 0 and clear > 0
+
+
+# every strip has its own width, smoothing and step, and the second copy
+# runs the other way
+UNEVEN = """\
+N = 2
+T = 0.08
+m = 32
+hole_halfwidth = 0.02
+strip = H 0.31 0.07 +1 0.02
+strip = V 0.30 0.09 +1 0.04
+strip = D 0.21 0.06 -1 0.01
+strip = H 0.80 0.085 -1 0.03
+strip = V 0.82 0.05 -1 0.0
+strip = D 0.70 0.075 +1 0.025
+"""
+
+
+def test_fast_path_on_strips_of_unequal_widths_and_smoothing():
+    scenario = scenario_from_text(UNEVEN)
+    K = 4 * scenario.m
+    x0, y0, home = _sample_batch(scenario, 200, seed=43)
+    assert 0 < _lone_count(scenario, K, x0, y0, home) < x0.size
+    _assert_fast_path_exact(scenario, K, x0, y0, home, m_snapshot=scenario.m)
 
 
 def test_lone_step_onto_cut_line_is_not_flagged():

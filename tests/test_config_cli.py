@@ -302,6 +302,16 @@ BROKEN = {
                                    "invalid_config"),
     "run_space_samples_1e5": ("run", "space_samples = 100000", 2,
                               "invalid_config"),
+    # one strip's 10^11 samples at 1 KiB each
+    "validate_samples_1e11": ("validate", "samples_per_strip = 100000000000",
+                              2, "invalid_config"),
+    "run_samples_1e11": ("run", "samples_per_strip = 100000000000", 2,
+                         "invalid_config"),
+    # a generator series of 10^9 time nodes over 120^2 grid points
+    "validate_time_samples_1e9": ("validate", "time_samples = 1000000000", 2,
+                                  "invalid_config"),
+    "run_time_samples_1e9": ("run", "time_samples = 1000000000", 2,
+                             "invalid_config"),
 }
 SRC = Path(__file__).resolve().parent.parent / "src"
 

@@ -119,7 +119,6 @@ def test_rho_predicted_examples():
     s4 = _scenario(N=4, T=0.04, m=64)
     pred = rho_predicted(s4, AB)
     assert pred.value == pytest.approx(-4 * s4.tau)
-    assert pred.error_radius > 0
     assert rho_predicted(s4, COMM).value == 0.0
     empty = Scenario(HoledTorus(0.02), (), 0, 0.1, 4)
     empty = empty.with_validation(validate_scenario(empty))
