@@ -95,6 +95,15 @@ def cmd_validate(config: ExperimentConfig) -> int:
     return EXIT_OK
 
 
+def _class_label(key: str) -> str:
+    """A class as ``run`` prints it: (identity) for the empty word, and a
+    word over 64 letters as a power of its primitive root, e.g. (BA)^5000."""
+    if len(key) <= 64:
+        return key or "(identity)"
+    period = (key + key).find(key, 1)  # the shortest rotation onto itself
+    return f"({key[:period]})^{len(key) // period}"
+
+
 def cmd_run(config: ExperimentConfig, dump_scenario: bool) -> int:
     if not config.N_list:
         print("empty N_list: nothing to run")
@@ -110,8 +119,8 @@ def cmd_run(config: ExperimentConfig, dump_scenario: bool) -> int:
           f"bad_bound={_g(est.bad_contribution_bound)}")
     for key in sorted(est.per_class):
         area, contribution = est.per_class[key]
-        label = key if key else "(identity)"
-        print(f"# class {label}: area={_g(area)} contribution={_g(contribution)}")
+        print(f"# class {_class_label(key)}: area={_g(area)} "
+              f"contribution={_g(contribution)}")
     return EXIT_OK
 
 

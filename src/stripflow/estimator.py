@@ -10,13 +10,14 @@ quotient of their accumulated crossing word.  A sample that only its home
 strip moves reads its word off the segment it traces, the rest off events.
 One pass over the strips gives each point's home strip and multiplicity,
 periodic samples are classed once per winding pair, a bad sample's word is
-reduced once per distinct raw word (its crossing events and closing
-letters) and valued once per distinct reduced word, and one sequential
-fold sums the per-class table.
+reduced once per distinct raw word (its path and closing letters) and
+valued once per distinct reduced word, and one fold over per-strip records
+gives the estimate, its error and its per-class table.
 """
 from __future__ import annotations
 
 import concurrent.futures
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -173,10 +174,11 @@ def _evaluate_batch(scenario: Scenario, q: CountingQM, K: int,
     1 = periodic, 2 = bad, and ``keys`` an object array holding each
     periodic sample's class and None for every other sample.
 
-    A bad sample's value depends only on its reduced K-step word.  For a
-    sample a foreign strip moved, that is the free reduction of its raw
-    word, crossing events then closing letters, so each distinct raw word
-    is reduced once; each distinct reduced word is homogenized once.
+    A bad sample's value depends only on its reduced K-step word: the free
+    reduction of its raw word, its path letters (its crossing events if a
+    foreign strip moved it, else its segment's word) then its closing
+    letters.  Each distinct raw word is reduced once and each distinct
+    reduced word is homogenized once.
     """
     m = scenario.m
     pattern = q.pattern.letters
@@ -207,7 +209,7 @@ def _evaluate_batch(scenario: Scenario, q: CountingQM, K: int,
     hh = scenario.surface.hole_halfwidth
     letters, declined = closing_letters(run.x_end[bad], run.y_end[bad],
                                         x[bad], y[bad], hh)
-    reduced = {}  # one reduced word per distinct raw (events, closing) pair
+    reduced = {}  # one reduced word per distinct raw (path, closing) pair
     valued = {}  # one value per distinct reduced K-step word
     bad_values = []
     for i, f, letter, scalar in zip(bad.tolist(), foreign.tolist(),
@@ -217,14 +219,11 @@ def _evaluate_batch(scenario: Scenario, q: CountingQM, K: int,
                                  (float(x[i]), float(y[i])), hh)[0].letters
         else:
             close = (letter,) if letter else ()
-        if f:  # free reduction is confluent: reduce events and close at once
-            raw = (events.get(i, ()), close)
-            if raw not in reduced:
-                reduced[raw] = reduce_letters(raw[0] + close)
-            word = reduced[raw]
-        else:
-            word = (_path_word(run, x, y, i, {})
-                    * Word(close, _reduced=True)).letters
+        raw = (events.get(i, ()) if f else _path_word(run, x, y, i, {}).letters,
+               close)
+        if raw not in reduced:  # free reduction is confluent
+            reduced[raw] = reduce_letters(raw[0] + close)
+        word = reduced[raw]
         if word not in valued:
             valued[word] = homogenized_tuple(pattern, word) / K
         bad_values.append(valued[word])
@@ -251,12 +250,6 @@ def _nudged(evaluate, x, y, *rest):
         raise DegenerateCrossing(
             f"degenerate samples persisted after {NUDGE_RETRIES} nudges")
     return out
-
-
-def _evaluate_with_nudges(scenario: Scenario, q: CountingQM, K: int,
-                          x: np.ndarray, y: np.ndarray, home: np.ndarray):
-    """_evaluate_batch under ``_nudged``: values, kinds and class keys."""
-    return _nudged(lambda *a: _evaluate_batch(scenario, q, K, *a), x, y, home)
 
 
 def checked_K(scenario: Scenario, K: int | None) -> int:
@@ -304,30 +297,54 @@ def _per_class(keys: np.ndarray, area: np.ndarray, contrib: np.ndarray):
             for j in np.argsort(first)}
 
 
+def _record(area: float, contrib: np.ndarray, weights: np.ndarray,
+            kinds: np.ndarray, keys: np.ndarray):
+    """One stratum's record from its area and its samples' weighted
+    contributions, weights, kinds and class keys."""
+    n = contrib.size
+    return (area, n, float(contrib.mean()), float(contrib.var()),
+            float(weights[kinds == 2].sum()),
+            _per_class(keys, weights * area / n, contrib * area / n))
+
+
+def _summary(scenario: Scenario, records) -> RhoEstimate:
+    """Fold stratum records (area, n, mean, var, bad_weight, per_class) in
+    order into one estimate; mean and var are of the n samples' weighted
+    contributions, bad_weight the summed weight of the bad ones."""
+    value = variance = bad_area = 0.0
+    keys, sums = [], []  # per stratum, its classes and their (area, contribution)
+    total = 0
+    for area, n, mean, var, bad_weight, per_class in records:
+        value += area * mean
+        variance += (area * area / n) * var
+        bad_area += area * bad_weight / n
+        total += n
+        keys += per_class
+        sums += per_class.values()
+    sums = np.array(sums, dtype=float).reshape(-1, 2)
+    return RhoEstimate(
+        value=value, stderr=float(np.sqrt(variance)),
+        per_class=_per_class(np.array(keys, dtype=object), *sums.T),
+        bad_area=bad_area, samples=total,
+        bad_contribution_bound=bad_area * bad_rate_bound(scenario))
+
+
 def _chunk_task(args):
+    """One record per strip of the chunk, each point weighted by one over
+    the number of ramps that hold it."""
     (scenario, q, K, strip_indices, n, seed) = args
     x, y = np.concatenate([_ramp_points(scenario.strips[si], n, seed, si)
                            for si in strip_indices], axis=1)
     home = np.repeat(np.array(strip_indices, dtype=np.int64), n)
-    mult = _ramp_scan(scenario, x, y)[1]
-    values, kinds, keys = _evaluate_with_nudges(scenario, q, K, x, y, home)
-    weights = 1.0 / np.maximum(mult, 1)
+    weights = 1.0 / np.maximum(_ramp_scan(scenario, x, y)[1], 1)
+    values, kinds, keys = _nudged(
+        functools.partial(_evaluate_batch, scenario, q, K), x, y, home)
     contrib = values * weights
-    stats = []
-    for block, si in enumerate(strip_indices):
-        sel = slice(block * n, (block + 1) * n)
-        area = scenario.strips[si].ramp_width  # chart area of the moving band
-        block_contrib = contrib[sel]
-        stats.append({
-            "area": area,
-            "n": n,
-            "mean": float(block_contrib.mean()),
-            "var": float(block_contrib.var()),
-            "bad_weight": float(weights[sel][kinds[sel] == 2].sum()),
-            "per_class": _per_class(keys[sel], weights[sel] * area / n,
-                                    block_contrib * area / n),
-        })
-    return stats
+    blocks = zip(*(np.split(a, len(strip_indices))
+                   for a in (contrib, weights, kinds, keys)))
+    # the chart area of a strip's moving band is its ramp width
+    return [_record(scenario.strips[si].ramp_width, *block)
+            for si, block in zip(strip_indices, blocks)]
 
 
 def rho_estimate(scenario: Scenario, q: CountingQM, K: int | None = None,
@@ -361,34 +378,11 @@ def rho_estimate(scenario: Scenario, q: CountingQM, K: int | None = None,
         # the fork start method starts all max_workers processes at once
         with concurrent.futures.ProcessPoolExecutor(
                 max_workers=min(workers, len(tasks))) as pool:
-            chunk_stats = list(pool.map(_chunk_task, tasks))
+            chunk_records = list(pool.map(_chunk_task, tasks))
     else:
-        chunk_stats = [_chunk_task(t) for t in tasks]
-
-    value = 0.0
-    variance = 0.0
-    bad_area = 0.0
-    keys, sums = [], []  # per strip, its classes and their (area, contribution)
-    total = 0
-    for stats in chunk_stats:  # fixed strip order: reproducible reduction
-        for s in stats:
-            a, n = s["area"], s["n"]
-            value += a * s["mean"]
-            variance += (a * a / n) * s["var"]
-            bad_area += a * s["bad_weight"] / n
-            total += n
-            keys += s["per_class"]
-            sums += s["per_class"].values()
-    sums = np.array(sums, dtype=float).reshape(-1, 2)
-    return RhoEstimate(
-        value=value,
-        stderr=float(np.sqrt(variance)),
-        per_class=_per_class(np.array(keys, dtype=object), sums[:, 0],
-                             sums[:, 1]),
-        bad_area=bad_area,
-        bad_contribution_bound=bad_area * bad_rate_bound(scenario),
-        samples=total,
-    )
+        chunk_records = [_chunk_task(t) for t in tasks]
+    # fixed strip order: reproducible reduction
+    return _summary(scenario, [r for rs in chunk_records for r in rs])
 
 
 def iterate_word(scenario: Scenario, q: CountingQM, p: tuple[float, float],
@@ -435,20 +429,10 @@ def grid_estimate(scenario: Scenario, q: CountingQM, K: int | None = None,
     gx, gy = cell_centers(grid)
     home = _ramp_scan(scenario, gx, gy)[0]
     sel = np.nonzero(home >= 0)[0]
-    values, kinds, keys = _evaluate_with_nudges(
-        scenario, q, K, gx[sel], gy[sel], home[sel])
-    cell = 1.0 / (grid * grid)
-    value = float(values.sum() * cell)
-    count = values.size
-    covered_area = count * cell
-    stderr = covered_area * float(values.std()) / np.sqrt(max(count, 1))
-    per_class = _per_class(keys, np.full(count, cell), values * cell)
-    bad_area = float((kinds == 2).sum()) * cell
-    return RhoEstimate(
-        value=value,
-        stderr=stderr,
-        per_class=per_class,
-        bad_area=bad_area,
-        bad_contribution_bound=bad_area * bad_rate_bound(scenario),
-        samples=count,
-    )
+    values, kinds, keys = _nudged(
+        functools.partial(_evaluate_batch, scenario, q, K),
+        gx[sel], gy[sel], home[sel])
+    # one stratum of weight-1 cells; none if no cell lies on a ramp
+    area = sel.size * (1.0 / (grid * grid))
+    return _summary(scenario, [_record(area, values, np.ones(sel.size), kinds,
+                                       keys)] if sel.size else [])

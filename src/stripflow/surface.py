@@ -221,27 +221,19 @@ def _along_windows(strip: StripSpec, others: Sequence[StripSpec]):
 
 
 def _min_circular_gap(windows: list[tuple[float, float]]) -> float:
+    """Shortest stretch of the unit circle between windows (start, length)
+    that no window covers; 0 if they cover it all."""
     if not windows:
         return 1.0
-    # merge, then measure gaps between consecutive merged windows
-    spans = sorted(((frac(s), frac(s) + ln) for s, ln in windows))
-    merged: list[list[float]] = []
-    for lo, hi in spans:
-        if merged and lo <= merged[-1][1]:
-            merged[-1][1] = max(merged[-1][1], hi)
-        else:
-            merged.append([lo, hi])
-    # wrap-around merge
-    if len(merged) > 1 and merged[0][0] + 1.0 <= merged[-1][1]:
-        merged[0][0] = merged[-1][0] - 1.0
-        merged.pop()
-    if len(merged) == 1 and merged[0][1] - merged[0][0] >= 1.0:
-        return 0.0
+    spans = sorted((frac(s), frac(s) + ln) for s, ln in windows)
+    # covered so far: up to the end that wraps furthest past 1
+    reach = max(hi for _, hi in spans) - 1.0
     gaps = []
-    for i, (lo, hi) in enumerate(merged):
-        nxt = merged[(i + 1) % len(merged)][0] + (1.0 if i + 1 == len(merged) else 0.0)
-        gaps.append(nxt - hi)
-    return max(0.0, min(gaps))
+    for lo, hi in spans:
+        if lo > reach:
+            gaps.append(lo - reach)
+        reach = max(reach, hi)
+    return min(gaps, default=0.0)
 
 
 def validate_scenario(scenario: Scenario) -> OverlapReport:

@@ -752,11 +752,11 @@ def test_evaluate_batch_matches_event_words(N, m, ramp_fraction, monkeypatch):
     # only the samples a foreign strip moved read their crossing events
     foreign = runs[0].foreign
     assert all(foreign[only].all() for only in assembled)
-    # one reduction per distinct raw word: (events, closing letters)
-    bad = np.nonzero(foreign & (kinds == 2) & ~degenerate)[0]
+    # one reduction per distinct raw word: (path letters, closing letters)
+    bad = np.nonzero((kinds == 2) & ~degenerate)[0]
     assert Counter(reduced) == Counter(
-        events + close for events, close in _raw_words(runs[0], x0, y0, bad,
-                                                       scenario))
+        path + close for path, close in _raw_words(runs[0], x0, y0, bad,
+                                                   scenario))
     non_foreign = ~foreign & (kinds > 0)
     if ramp_fraction == 1.0:  # every moved sample meets a foreign ramp
         assert not non_foreign.any() and reduced
@@ -765,14 +765,19 @@ def test_evaluate_batch_matches_event_words(N, m, ramp_fraction, monkeypatch):
 
 
 def _raw_words(run, x0, y0, idx, scenario):
-    """The distinct (crossing events, closing letters) pairs of the samples
-    ``idx``."""
-    events = assemble_words(run, x0.size, only=idx)
+    """The distinct (path letters, closing letters) pairs of the samples
+    ``idx``: a sample's path letters are its crossing events if a foreign
+    strip moved it, else the crossing word of its segment."""
+    events = assemble_words(run, x0.size, only=idx[run.foreign[idx]])
     hh = scenario.surface.hole_halfwidth
-    return {(events.get(i, ()),
-             closing_word((float(run.x_end[i]), float(run.y_end[i])),
-                          (float(x0[i]), float(y0[i])), hh)[0].letters)
-            for i in idx.tolist()}
+    pairs = set()
+    for i in idx.tolist():
+        start = (float(x0[i]), float(y0[i]))
+        end = (float(run.x_end[i]), float(run.y_end[i]))
+        path = (events.get(i, ()) if run.foreign[i]
+                else crossing_word(start, end).letters)
+        pairs.add((path, closing_word(end, start, hh)[0].letters))
+    return pairs
 
 
 def test_evaluate_batch_reduces_each_raw_word_once(monkeypatch):

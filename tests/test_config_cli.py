@@ -244,6 +244,31 @@ def test_cli_sweep_matches_golden_csv(name, tmp_path, capsys):
         assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
 
 
+def test_cli_run_prints_long_classes_as_powers(tmp_path):
+    # at this ramp fraction a lone orbit crosses 5000 cut lines per axis:
+    # its class is printed as a power of its primitive root, e.g. (BA)^5000
+    p = tmp_path / "long.cfg"
+    p.write_text("N_list = 1\nm_rule = fixed 8\nK_rule = per_m 2\n"
+                 "samples_per_strip = 400\nramp_fraction = 2e-4\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "stripflow.cli", "run",
+                           str(p)], capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert "# class (BA)^5000" in {line.split(":")[0] for line in lines}
+    assert max(len(line) for line in lines) < 200
+
+
+def test_class_label():
+    assert cli._class_label("") == "(identity)"
+    assert cli._class_label("ab" * 32) == "ab" * 32
+    assert cli._class_label("aB" * 40) == "(aB)^40"
+    assert cli._class_label("abb" * 30) == "(abb)^30"
+    assert cli._class_label("a" * 64 + "b") == "(" + "a" * 64 + "b)^1"
+
+
 def test_cli_show_config(capsys):
     assert main(["show-config"]) == 0
     out = capsys.readouterr().out

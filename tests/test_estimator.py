@@ -1,4 +1,5 @@
 """Trajectory estimator: classification, iterate_word, rho estimates."""
+import functools
 import math
 import warnings
 
@@ -10,7 +11,7 @@ from stripflow.counting import CountingQM, estimate_defect, homogenized
 from stripflow.errors import (ConfigError, DegenerateCrossing,
                               ValidityWindowExceeded)
 from stripflow.estimator import (NUDGE_RETRIES, RhoEstimate, deficiency,
-                                 _evaluate_batch, _evaluate_with_nudges,
+                                 _evaluate_batch, _nudged,
                                  grid_estimate, iterate_word, rho_estimate,
                                  rho_predicted, _per_class, _ramp_points,
                                  _ramp_scan)
@@ -270,12 +271,23 @@ def test_start_on_cut_line_takes_its_nudged_run():
     nudged = _evaluate_batch(s, AB, 2 * s.m, x[:1] + NUDGE, y[:1] + NUDGE,
                              home[:1])
     assert not nudged[3][0] and nudged[1][0] == 1
-    values, kinds, keys = _evaluate_with_nudges(s, AB, 2 * s.m, x, y, home)
+    values, kinds, keys = _nudged(
+        functools.partial(_evaluate_batch, s, AB, 2 * s.m), x, y, home)
     expected = [np.concatenate([a[:1], b[1:]])
                 for a, b in zip(nudged[:3], first[:3])]
     assert values.tobytes() == expected[0].tobytes()
     assert kinds.tolist() == expected[1].tolist()
     assert keys.tolist() == expected[2].tolist()
+
+
+def test_grid_estimate_without_ramp_cells_is_zero():
+    # the one cell center (0.5, 0.5) lies on no ramp: nothing is iterated,
+    # and the empty stratified sum is exactly zero, with no warning
+    est = grid_estimate(_scenario(), AB, grid=1)
+    assert est == RhoEstimate(value=0.0, stderr=0.0, per_class={},
+                              bad_area=0.0, bad_contribution_bound=0.0,
+                              samples=0)
+    assert type(est.stderr) is float
 
 
 def test_grid_estimate_retry_replaces_class_keys(monkeypatch):

@@ -10,7 +10,8 @@ from stripflow.surface import (HoledTorus, Scenario, StripSpec,
                                build_scenario, closing_letters, closing_word,
                                crossing_word, frac, scenario_from_text,
                                scenario_to_text, segment_crossings,
-                               validate_scenario, _segment_hits_hole)
+                               validate_scenario, _min_circular_gap,
+                               _segment_hits_hole)
 from stripflow.words import Word
 
 
@@ -70,6 +71,33 @@ def test_build_rejects_bad_arguments():
         build_scenario(1, 0.3, 10, 0.02)  # T > 1/(4N)
     with pytest.raises(ValueError):
         build_scenario(1, 0.05, 0, 0.02)
+
+
+def _min_gap_brute_force(windows):
+    """Every free stretch of the circle starts at some window's end that no
+    other window covers and runs to the nearest window start after it."""
+    gaps = []
+    for i, (s, ln) in enumerate(windows):
+        end = frac(s) + ln
+        if any(ln2 >= 1.0 or frac(end - s2) < ln2
+               for j, (s2, ln2) in enumerate(windows) if j != i):
+            continue
+        if ln < 1.0:
+            gaps.append(min(frac(s2 - end) or 1.0 for s2, _ in windows))
+    return min(gaps, default=0.0)
+
+
+def test_min_circular_gap_against_brute_force():
+    # a window that wraps past 1 overlapping the first: free is (0.25, 0.85)
+    assert _min_circular_gap([(0.0, 0.1), (0.85, 0.4)]) == pytest.approx(0.6)
+    assert _min_circular_gap([]) == 1.0
+    assert _min_circular_gap([(0.3, 1.2)]) == 0.0
+    rng = random.Random(19)
+    for _ in range(2000):
+        windows = [(rng.uniform(-2.0, 2.0), rng.uniform(0.0, 0.6))
+                   for _ in range(rng.randint(1, 6))]
+        assert _min_circular_gap(windows) == pytest.approx(
+            _min_gap_brute_force(windows), abs=1e-12), windows
 
 
 def test_build_determinism_and_defaults():
