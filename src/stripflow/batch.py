@@ -272,8 +272,8 @@ def _lone_orbits(scenario: Scenario, t: float, n_steps: int,
     return lone
 
 
-def assemble_words(run: BatchRun, n_samples: int,
-                   only: np.ndarray | None = None) -> dict[int, tuple[int, ...]]:
+def assemble_words(run: BatchRun, only: np.ndarray | None = None
+                   ) -> dict[int, tuple[int, ...]]:
     """Group crossing events into per-sample letter tuples, in path order.
 
     ``only`` restricts to the given sample indices.  Lone orbits emit no
@@ -283,12 +283,10 @@ def assemble_words(run: BatchRun, n_samples: int,
         raise ValueError("batch was run without collect=True")
     s, k, letters = run.event_sample, run.event_key, run.event_letter
     if only is not None:
-        keep = np.zeros(n_samples, dtype=bool)
+        keep = np.zeros(run.moved.size, dtype=bool)
         keep[only] = True
         mask = keep[s]
         s, k, letters = s[mask], k[mask], letters[mask]
-    if s.size == 0:
-        return {}
     order = np.lexsort((k, s))
     s = s[order]
     starts = np.flatnonzero(np.diff(s, prepend=-1))

@@ -21,6 +21,7 @@ from .estimator import rho_estimate, rho_predicted
 from .flow import calabi, flux_check, hofer_upper_bound
 from .properties import run_property_suite
 from .surface import scenario_to_text
+from .words import primitive_period
 
 COLUMNS = ("N", "T", "m", "tau", "rho_est", "rho_stderr", "rho_pred",
            "bad_area", "hofer_numeric", "hofer_2Ktau", "calabi", "ratio")
@@ -100,7 +101,7 @@ def _class_label(key: str) -> str:
     word over 64 letters as a power of its primitive root, e.g. (BA)^5000."""
     if len(key) <= 64:
         return key or "(identity)"
-    period = (key + key).find(key, 1)  # the shortest rotation onto itself
+    period = primitive_period(key)
     return f"({key[:period]})^{len(key) // period}"
 
 

@@ -118,11 +118,12 @@ class ExperimentConfig:
 
 
 def _parse_rule(key: str, tokens: list[str]) -> tuple[str, float]:
-    if len(tokens) == 1:
-        return ("fixed", float(tokens[0]))
-    if len(tokens) == 2:
-        return (tokens[0], float(tokens[1]))
-    raise ConfigError(f"{key} expects 'kind value' or a plain number")
+    if len(tokens) not in (1, 2):
+        raise ConfigError(f"{key} expects 'kind value' or a plain number")
+    *kind, value = tokens
+    # an integral value stays an int: show-config prints it as written
+    return (kind[0] if kind else "fixed",
+            int(value) if value.lstrip("+-").isdigit() else float(value))
 
 
 def _single(key: str, tokens: list[str]) -> str:

@@ -31,7 +31,7 @@ from .flow import (cell_centers, flux_check, require_budget,
                    require_grid_sizes, require_validity)
 from .surface import (NUDGE, Scenario, StripSpec, closing_letters,
                       closing_word, crossing_word)
-from .words import Word, cyclic_core, reduce_letters
+from .words import Word, cyclic_core, primitive_period, reduce_letters
 
 RETURN_TOL = 1e-9
 NUDGE_RETRIES = 3
@@ -121,11 +121,13 @@ def _ramp_scan(scenario: Scenario, x: np.ndarray, y: np.ndarray):
 
 
 def _canonical_class(core: tuple[int, ...]) -> str:
-    """Lexicographically minimal cyclic rotation, as word text."""
+    """Minimal cyclic rotation by letter code (B < A < a < b), as word text:
+    the minimal rotation of the core's primitive root, repeated."""
     if not core:
         return ""
-    best = min(core[i:] + core[:i] for i in range(len(core)))
-    return Word(best, _reduced=True).text()
+    period = primitive_period(Word(core, _reduced=True).text())
+    root = min(core[i:period] + core[:i] for i in range(period))
+    return Word(root * (len(core) // period), _reduced=True).text()
 
 
 # -- batch evaluation ------------------------------------------------------------
@@ -205,7 +207,7 @@ def _evaluate_batch(scenario: Scenario, q: CountingQM, K: int,
 
     bad = np.nonzero((kinds == 2) & ~run.degenerate)[0]
     foreign = run.foreign[bad]
-    events = batch.assemble_words(run, n, only=bad[foreign])
+    events = batch.assemble_words(run, only=bad[foreign])
     hh = scenario.surface.hole_halfwidth
     letters, declined = closing_letters(run.x_end[bad], run.y_end[bad],
                                         x[bad], y[bad], hh)
@@ -283,18 +285,15 @@ def require_sample_size(samples_per_strip: int):
                    SAMPLE_BYTES * samples_per_strip, MAX_CHUNK_BYTES, "bytes")
 
 
-def _per_class(keys: np.ndarray, area: np.ndarray, contrib: np.ndarray):
-    """Per class key (None: no class), in order of first appearance, the
-    sums of ``area`` and ``contrib`` over its samples.  Each sum is a fold
-    in sample order: the same bit for bit as adding one sample at a time."""
-    held = np.nonzero(keys != None)[0]  # elementwise on an object array
-    names, first, inverse = np.unique(keys[held].astype(str),
-                                      return_index=True, return_inverse=True)
-    sums = np.zeros((2, len(names)))
-    np.add.at(sums[0], inverse, area[held])
-    np.add.at(sums[1], inverse, contrib[held])
-    return {str(names[j]): (float(sums[0, j]), float(sums[1, j]))
-            for j in np.argsort(first)}
+def _per_class(rows):
+    """Per key of rows (key, area, contribution), in order of first appearance,
+    its sums of area and contribution, folded in row order; None: no class."""
+    table = {}
+    for key, area, contrib in rows:
+        if key is not None:
+            a, c = table.get(key, (0.0, 0.0))
+            table[key] = (a + area, c + contrib)
+    return table
 
 
 def _record(area: float, contrib: np.ndarray, weights: np.ndarray,
@@ -304,28 +303,24 @@ def _record(area: float, contrib: np.ndarray, weights: np.ndarray,
     n = contrib.size
     return (area, n, float(contrib.mean()), float(contrib.var()),
             float(weights[kinds == 2].sum()),
-            _per_class(keys, weights * area / n, contrib * area / n))
+            _per_class(zip(keys.tolist(), (weights * area / n).tolist(),
+                           (contrib * area / n).tolist())))
 
 
 def _summary(scenario: Scenario, records) -> RhoEstimate:
-    """Fold stratum records (area, n, mean, var, bad_weight, per_class) in
-    order into one estimate; mean and var are of the n samples' weighted
-    contributions, bad_weight the summed weight of the bad ones."""
+    """Fold a list of stratum records (area, n, mean, var, bad_weight,
+    per_class) in order into one estimate; mean and var are of the n samples'
+    weighted contributions, bad_weight the summed weight of the bad ones."""
     value = variance = bad_area = 0.0
-    keys, sums = [], []  # per stratum, its classes and their (area, contribution)
-    total = 0
-    for area, n, mean, var, bad_weight, per_class in records:
+    for area, n, mean, var, bad_weight, _ in records:
         value += area * mean
         variance += (area * area / n) * var
         bad_area += area * bad_weight / n
-        total += n
-        keys += per_class
-        sums += per_class.values()
-    sums = np.array(sums, dtype=float).reshape(-1, 2)
     return RhoEstimate(
         value=value, stderr=float(np.sqrt(variance)),
-        per_class=_per_class(np.array(keys, dtype=object), *sums.T),
-        bad_area=bad_area, samples=total,
+        per_class=_per_class((key, *sums) for *_, table in records
+                             for key, sums in table.items()),
+        bad_area=bad_area, samples=sum(r[1] for r in records),
         bad_contribution_bound=bad_area * bad_rate_bound(scenario))
 
 
@@ -404,7 +399,7 @@ def iterate_word(scenario: Scenario, q: CountingQM, p: tuple[float, float],
     x, y, (run,) = _nudged(walk, np.array([x0]), np.array([y0]))
     p = (float(x[0]), float(y[0]))
     end = (float(run.x_end[0]), float(run.y_end[0]))
-    events = batch.assemble_words(run, 1) if run.foreign[0] else {}
+    events = batch.assemble_words(run) if run.foreign[0] else {}
     path = _path_word(run, x, y, 0, events)
     close, _ = closing_word(end, p, scenario.surface.hole_halfwidth)
     record = dict(start=p, end=end, iterates=K, word=path * close)

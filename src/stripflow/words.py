@@ -47,6 +47,11 @@ def cyclic_core(letters: tuple[int, ...]) -> tuple[int, ...]:
     return letters[i:j]
 
 
+def primitive_period(text: str) -> int:
+    """Length of a nonempty text's primitive root: its shortest self-rotation."""
+    return (text + text).find(text, 1)
+
+
 class Word:
     """A reduced element of F(a, b).  Immutable and hashable."""
 

@@ -72,7 +72,7 @@ def test_run_batch_matches_reference(name, n_steps):
     run = run_batch(scenario, tau, n_steps, x0, y0,
                     _ramp_scan(scenario, x0, y0)[0], collect=True)
     assert not run.degenerate.any()
-    events = assemble_words(run, x0.size)
+    events = assemble_words(run)
     for i in range(x0.size):
         p = (float(x0[i]), float(y0[i]))
         word = Word()
@@ -165,7 +165,7 @@ def _event_words(run, n, max_key=None):
         sel = key < max_key
         run = replace(run, event_sample=sample[sel], event_key=key[sel],
                       event_letter=letter[sel])
-    words = assemble_words(run, n)
+    words = assemble_words(run)
     return [reduce_letters(words.get(i, ())) for i in range(n)]
 
 
@@ -732,9 +732,9 @@ def test_evaluate_batch_matches_event_words(N, m, ramp_fraction, monkeypatch):
         runs.append(real_run(*args, **kwargs))
         return runs[-1]
 
-    def spy_assemble(run, n, only=None):
+    def spy_assemble(run, only=None):
         assembled.append(only)
-        return real_assemble(run, n, only=only)
+        return real_assemble(run, only=only)
 
     def spy_reduce(raw):
         reduced.append(raw)
@@ -768,7 +768,7 @@ def _raw_words(run, x0, y0, idx, scenario):
     """The distinct (path letters, closing letters) pairs of the samples
     ``idx``: a sample's path letters are its crossing events if a foreign
     strip moved it, else the crossing word of its segment."""
-    events = assemble_words(run, x0.size, only=idx[run.foreign[idx]])
+    events = assemble_words(run, only=idx[run.foreign[idx]])
     hh = scenario.surface.hole_halfwidth
     pairs = set()
     for i in idx.tolist():
@@ -834,7 +834,7 @@ def test_evaluate_batch_closes_bad_orbits_in_arrays(monkeypatch):
 
     run = run_batch(scenario, scenario.tau, K, x0, y0, home=home,
                     collect=True, m_snapshot=scenario.m)
-    events = assemble_words(run, x0.size, only=bad)
+    events = assemble_words(run, only=bad)
     hh = scenario.surface.hole_halfwidth
     letters, declined = closing_letters(run.x_end[bad], run.y_end[bad],
                                         x0[bad], y0[bad], hh)

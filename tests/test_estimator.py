@@ -1,6 +1,8 @@
 """Trajectory estimator: classification, iterate_word, rho estimates."""
 import functools
 import math
+import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -13,8 +15,8 @@ from stripflow.errors import (ConfigError, DegenerateCrossing,
 from stripflow.estimator import (NUDGE_RETRIES, RhoEstimate, deficiency,
                                  _evaluate_batch, _nudged,
                                  grid_estimate, iterate_word, rho_estimate,
-                                 rho_predicted, _per_class, _ramp_points,
-                                 _ramp_scan)
+                                 rho_predicted, _canonical_class, _per_class,
+                                 _ramp_points, _ramp_scan, _record)
 from stripflow.surface import (NUDGE, HoledTorus, Scenario, build_scenario,
                                validate_scenario)
 from stripflow.words import Word
@@ -397,11 +399,85 @@ def test_per_class_equals_per_sample_fold():
     # magnitudes over 16 decades, so a different summation order shows
     area = rng.random(5000) * 10.0 ** rng.integers(-8, 8, 5000)
     contrib = rng.standard_normal(5000) * 10.0 ** rng.integers(-8, 8, 5000)
-    fast = _per_class(keys, area, contrib)
+    fast = _per_class(zip(keys, area.tolist(), contrib.tolist()))
     slow = _per_class_loop(keys, area, contrib)
     assert list(fast) == list(slow) and len(fast) == 5
     for key, (a, c) in slow.items():
         assert (fast[key][0].hex(), fast[key][1].hex()) == \
             (float(a).hex(), float(c).hex())
-    assert _per_class(np.full(3, None, dtype=object), area[:3],
-                      contrib[:3]) == {}
+    assert _per_class(zip([None] * 3, area[:3], contrib[:3])) == {}
+
+
+def _per_class_unique(keys, area, contrib):
+    """Grouping by np.unique and np.add.at, in order of first appearance."""
+    held = np.nonzero(keys != None)[0]  # elementwise on an object array
+    names, first, inverse = np.unique(keys[held].astype(str),
+                                      return_index=True, return_inverse=True)
+    sums = np.zeros((2, len(names)))
+    np.add.at(sums[0], inverse, area[held])
+    np.add.at(sums[1], inverse, contrib[held])
+    return {str(names[j]): (float(sums[0, j]), float(sums[1, j]))
+            for j in np.argsort(first)}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_per_class_equals_unique_grouping(seed):
+    rng = np.random.default_rng(seed)
+    names = np.array([None, "", "a", "B", "BA", "abAB", "ab" * 40],
+                     dtype=object)
+    n = 3000
+    keys = names[rng.integers(0, names.size, n)]
+    area = rng.random(n) * 10.0 ** rng.integers(-8, 8, n)
+    contrib = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 8, n)
+    fold = _per_class(zip(keys.tolist(), area.tolist(), contrib.tolist()))
+    grouped = _per_class_unique(keys, area, contrib)
+    assert list(fold) == list(grouped)
+    assert {k: (a.hex(), c.hex()) for k, (a, c) in fold.items()} == \
+        {k: (a.hex(), c.hex()) for k, (a, c) in grouped.items()}
+
+
+def test_record_per_class_memory_does_not_grow_with_class_length():
+    # every sample of a class holds the same key object, as in _evaluate_batch
+    n, word = 2000, "BA" * 5000
+    keys = np.full(n, word, dtype=object)
+    contrib, weights = np.full(n, 0.5), np.ones(n)
+    kinds = np.ones(n, dtype=np.int64)
+    tracemalloc.start()
+    try:
+        record = _record(1.0, contrib, weights, kinds, keys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert list(record[-1]) == [word]
+    assert peak < 5 * 2**20, peak
+
+
+def _random_core(rng, length):
+    """A random cyclically reduced letter tuple of the given length."""
+    while True:
+        core = [int(rng.choice([-2, -1, 1, 2]))]
+        while len(core) < length:
+            letter = int(rng.choice([-2, -1, 1, 2]))
+            if letter != -core[-1]:
+                core.append(letter)
+        if len(core) < 2 or core[0] != -core[-1]:
+            return tuple(core)
+
+
+def test_canonical_class_is_the_minimal_rotation():
+    rng = np.random.default_rng(5)
+    for _ in range(500):
+        root = _random_core(rng, int(rng.integers(1, 13)))
+        for power in (1, 2, 3, 7):
+            core = root * power
+            best = min(core[i:] + core[:i] for i in range(len(core)))
+            assert _canonical_class(core) == Word(best).text()
+    assert _canonical_class(()) == ""
+
+
+def test_canonical_class_of_a_long_power_is_fast():
+    core = (-2, -1) * 20000  # (BA)^20000, 4e4 letters
+    start = time.perf_counter()
+    key = _canonical_class((-1, -2) * 20000)  # its rotation (AB)^20000
+    assert time.perf_counter() - start < 1.0
+    assert key == Word(core).text()
