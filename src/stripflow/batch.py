@@ -277,7 +277,9 @@ def assemble_words(run: BatchRun, only: np.ndarray | None = None
     """Group crossing events into per-sample letter tuples, in path order.
 
     ``only`` restricts to the given sample indices.  Lone orbits emit no
-    events, so their tuples are empty.
+    events, so their tuples are empty.  The events are copied only if
+    ``only`` drops some; one sort by (sample, key) puts each sample's
+    letters in a run, and the run lengths are the per-sample event counts.
     """
     if run.event_sample is None:
         raise ValueError("batch was run without collect=True")
@@ -286,14 +288,15 @@ def assemble_words(run: BatchRun, only: np.ndarray | None = None
         keep = np.zeros(run.moved.size, dtype=bool)
         keep[only] = True
         mask = keep[s]
-        s, k, letters = s[mask], k[mask], letters[mask]
-    order = np.lexsort((k, s))
-    s = s[order]
-    starts = np.flatnonzero(np.diff(s, prepend=-1))
-    bounds = starts.tolist() + [s.size]
-    letter_list = letters[order].tolist()
+        if not mask.all():
+            s, k, letters = s[mask], k[mask], letters[mask]
+        del keep, mask
+    letter_list = letters[np.lexsort((k, s))].tolist()
+    counts = np.bincount(s, minlength=run.moved.size)
+    samples = np.flatnonzero(counts)
+    ends = np.cumsum(counts[samples]).tolist()
     return {i: tuple(letter_list[lo:hi])
-            for i, lo, hi in zip(s[starts].tolist(), bounds, bounds[1:])}
+            for i, lo, hi in zip(samples.tolist(), [0] + ends, ends)}
 
 
 def wrapped_return(x_m, y_m, x0, y0, tol: float) -> np.ndarray:

@@ -38,8 +38,9 @@ NUDGE_RETRIES = 3
 _CHUNK_SAMPLES = 180_000
 MAX_LINES_CROSSED = 10**5
 MAX_STEPS = 10**5
-# A chunk holds whole strips and peaks at about 300 bytes a sample, 540 if
-# all are bad (measured): a strip too big at SAMPLE_BYTES each is refused.
+# A chunk holds whole strips and peaks at about 230 bytes a sample, 410 if
+# all are bad (tracemalloc, default N = 8 and full-ramp N = 4 chunks): a
+# strip too big at SAMPLE_BYTES each is refused.
 SAMPLE_BYTES = 1024
 MAX_CHUNK_BYTES = 1 << 31
 

@@ -1,5 +1,6 @@
 """The vectorized engine checked against the scalar reference maps."""
 import hashlib
+import tracemalloc
 from collections import Counter
 from dataclasses import fields, replace
 
@@ -243,6 +244,57 @@ def test_fast_path_matches_full_engine(N, ramp_fraction):
     if ramp_fraction < 1.0:
         assert _lone_count(scenario, 4 * m, x0, y0, home) > x0.size // 2
     _assert_fast_path_exact(scenario, 4 * m, x0, y0, home, m_snapshot=m)
+
+
+# -- word assembly ---------------------------------------------------------------
+
+
+def _word_batch(ramp_fraction):
+    """An N = 2 batch at K = 4m with its crossing events."""
+    scenario = build_scenario(2, 0.08, 32, 0.02, ramp_fraction=ramp_fraction)
+    x0, y0, home = _sample_batch(scenario, 300, seed=3)
+    return run_batch(scenario, scenario.tau, 4 * scenario.m, x0, y0,
+                     home=home, collect=True)
+
+
+@pytest.mark.parametrize("ramp_fraction", [0.125, 1.0])
+def test_assemble_words_keeps_no_copy_of_the_events(ramp_fraction):
+    """With ``only`` holding every sample that has events, assembly copies
+    no event array: its transient memory stays under 24 B an event, beside
+    the 17 B an event takes."""
+    run = _word_batch(ramp_fraction)
+    only = np.unique(run.event_sample)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        words = assemble_words(run, only=only)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    n_events = run.event_sample.size
+    assert sum(map(len, words.values())) == n_events > 10_000
+    assert (peak - retained) / n_events <= 24, (peak - retained) / n_events
+
+
+@pytest.mark.parametrize("ramp_fraction", [0.125, 1.0])
+def test_assemble_words_only_restricts_the_full_dict(ramp_fraction):
+    """``only`` gives the full dict restricted to it, in the same order,
+    whether or not it drops an event."""
+    run = _word_batch(ramp_fraction)
+    full = assemble_words(run)
+    assert list(full) == sorted(full)
+    assert set(full) == set(run.event_sample.tolist())
+    quiet = np.setdiff1d(np.arange(run.moved.size), run.event_sample)
+    assert quiet.size > 0
+    everyone = np.concatenate([np.unique(run.event_sample), quiet[::7]])
+    assert list(assemble_words(run, only=everyone).items()) == \
+        list(full.items())
+    rng = np.random.default_rng(3)
+    subset = rng.choice(run.moved.size, run.moved.size // 3, replace=False)
+    kept = set(subset.tolist())
+    expected = [(i, w) for i, w in full.items() if i in kept]
+    assert 0 < len(expected) < len(full)
+    assert list(assemble_words(run, only=subset).items()) == expected
 
 
 def _digest(value):

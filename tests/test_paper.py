@@ -1,6 +1,6 @@
 """The paper's claims beyond the acceptance gate: the induced quasimorphism
-is not continuous in the Hofer norm, and rho ~ tau * N * d_r holds for
-other counted patterns."""
+is neither continuous nor Lipschitz in the Hofer norm, and
+rho ~ tau * N * d_r holds for other counted patterns."""
 from dataclasses import replace
 from pathlib import Path
 
@@ -52,3 +52,21 @@ def test_other_patterns_follow_the_deficiency(N):
     null, null_pred = rho("aab")
     assert null_pred == 0.0
     assert abs(null.value) <= 3 * null.stderr
+
+
+def test_not_lipschitz_up_to_32_strips():
+    # the reach layout at N = 16, 32: tau = T/m, and with it the Hofer
+    # bound 6 tau, shrinks as 1/N^2 while rho ~ tau * N * d_r shrinks only
+    # as 1/N, so |rho| per unit of Hofer norm grows in proportion to N
+    config = load_config(CONFIGS / "reach.cfg")
+    q = CountingQM.from_text(config.pattern)
+    per_tau = {}
+    for n in (16, 32):
+        scenario = config.build(n)
+        est = rho_estimate(scenario, q, K=config.K_for(scenario.m),
+                           samples_per_strip=50, seed=config.seed)
+        pred = rho_predicted(scenario, q).value
+        assert est.value < 0
+        assert 0.5 < est.value / pred < 1.5
+        per_tau[n] = abs(est.value) / scenario.tau
+    assert 1.8 <= per_tau[32] / per_tau[16] <= 2.2
