@@ -15,10 +15,10 @@ sums the composition's generating function along the way.
 ``apply_composed_inverse`` reads the pulled-back point off it and
 ``generator_value`` the generator at one point.  One series of generator grids
 feeds ``hofer_upper_bound`` and ``calabi``: the grid is folded once at
-t = 0, in row blocks and without the moves, which are all by +-0.0 there;
-per time node only its points on some ramp are folded again, into one
-reused buffer, so the series holds about 3 grid arrays.  That is exact, as
-a point on no ramp is never moved, so its terms do not depend on t.
+t = 0, in row blocks and without the moves, which are all by +-0.0 there,
+into the one grid array the series holds; per time node only its points on
+some ramp are folded again, in blocks.  That is exact, as a point on no
+ramp, the origin among them, is never moved, so its terms do not depend on t.
 ``calabi_region_decomposition`` gives Calabi in closed form.
 ``flux_check`` and ``per_copy_flux`` (defined in ``surface``, which
 validates with it) certify that the composition is Hamiltonian.
@@ -226,11 +226,12 @@ class HoferBound:
     oscillations: tuple[float, ...]
 
 
-# Grid points per row block of the generator series' t = 0 fold.
-_CHUNK_SAMPLES = 1 << 16
-# The series holds two float64 grids and one bool grid, 17 bytes per point,
-# and sweeps the grid once at t = 0 and once per time node (about 2e7 grid
-# points a second at N = 8); a larger one is refused before it is allocated.
+# Grid points per block of the generator series, at t = 0 and per node.
+_CHUNK_SAMPLES = 1 << 14
+# The series holds one float64 grid and at worst one int64 ramp index per
+# point, 16 bytes per point, and sweeps the grid once at t = 0 and once per
+# time node (about 2e7 grid points a second at N = 8); a larger one is
+# refused before it is allocated.
 MAX_SERIES_BYTES = 1 << 31
 MAX_SERIES_POINTS = 10**10
 
@@ -238,7 +239,7 @@ MAX_SERIES_POINTS = 10**10
 def require_series_size(space_samples: int, time_samples: int):
     """Raise ValueError if the generator series would hold more than
     MAX_SERIES_BYTES or sweep more than MAX_SERIES_POINTS grid points."""
-    require_budget("space_samples", space_samples, 17 * space_samples ** 2,
+    require_budget("space_samples", space_samples, 16 * space_samples ** 2,
                    MAX_SERIES_BYTES, "bytes")
     require_budget("time_samples", time_samples,
                    (time_samples + 1) * space_samples ** 2, MAX_SERIES_POINTS,
@@ -251,28 +252,37 @@ def _generator_series(scenario: Scenario, tau: float, time_samples: int,
     """Per midpoint time node, the oscillation and the mean of the generator
     on one space grid; the sweep asks for both in turn, so the last is kept.
 
-    The grid is folded at t = 0 in row blocks of ``_CHUNK_SAMPLES`` points;
-    per node only its points on some ramp, and the origin, are folded
-    again.  The rest are never moved, so their sums are the t = 0 ones bit
-    for bit, and every node equals ``_generator_grid``.
+    The grid is folded at t = 0 into the one grid ``g``, in row blocks of
+    ``_CHUNK_SAMPLES`` points, keeping the flat indices of its ramp points;
+    per node only those are folded again, in blocks of ``_CHUNK_SAMPLES``
+    with the origin appended.  The rest, the origin too, are never moved, so
+    their sums are the t = 0 ones bit for bit: the origin is subtracted once,
+    and every node equals ``_generator_grid``.  About 11 bytes per point.
     """
     require_series_size(space_samples, time_samples)
     n = space_samples
     xs = (np.arange(n) + 0.5) / n
-    base, ramp = np.empty((n, n)), np.empty((n, n), dtype=bool)
+    g, blocks = np.empty(n * n), []
     rows = max(1, _CHUNK_SAMPLES // n)
     for r in range(0, n, rows):
-        base[r:r + rows], ramp[r:r + rows], _ = _generator_fold(
-            scenario, 0.0, xs[r:r + rows, None], xs[None, :])
-    idx = np.flatnonzero(ramp)
-    rx, ry = np.append(xs[idx // n], 0.0), np.append(xs[idx % n], 0.0)
-    g = np.empty(n * n)
-    oscs, means = [], []
+        fold, ramp, _ = _generator_fold(scenario, 0.0, xs[r:r + rows, None],
+                                        xs[None, :])
+        g[r * n:r * n + fold.size] = fold.ravel()
+        blocks.append(np.flatnonzero(ramp) + r * n)
+    idx = np.concatenate(blocks)
+    del blocks
+    origin, oscs, means = None, [], []
     for i in range(time_samples):
-        raw = _generator_fold(scenario, (i + 0.5) / time_samples * tau,
-                              rx, ry)[0]
-        np.subtract(base.ravel(), raw[-1], out=g)
-        g[idx] = raw[:-1] - raw[-1]
+        t = (i + 0.5) / time_samples * tau
+        # at least one block, so a grid with no ramp point folds the origin
+        for c in range(0, max(idx.size, 1), _CHUNK_SAMPLES):
+            k = idx[c:c + _CHUNK_SAMPLES]
+            raw = _generator_fold(scenario, t, np.append(xs[k // n], 0.0),
+                                  np.append(xs[k % n], 0.0))[0]
+            if origin is None:
+                origin = raw[-1]
+                g -= origin
+            g[k] = raw[:-1] - origin
         oscs.append(float(g.max() - g.min()))
         means.append(float(g.mean()))
     return tuple(oscs), tuple(means)

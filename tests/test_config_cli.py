@@ -336,7 +336,7 @@ BROKEN = {
     # too many steps (K = 4e20 crosses 6.4 lines per axis)
     "validate_m_1e20": ("validate", "m = 1e20", 2, "invalid_config"),
     "run_m_1e20": ("run", "m = 1e20", 2, "invalid_config"),
-    # a generator series of 17 * 100000^2 bytes
+    # a generator series of 16 * 100000^2 bytes
     "validate_space_samples_1e5": ("validate", "space_samples = 100000", 2,
                                    "invalid_config"),
     "run_space_samples_1e5": ("run", "space_samples = 100000", 2,

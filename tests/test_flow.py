@@ -2,6 +2,7 @@
 import hashlib
 import random
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -276,6 +277,81 @@ def test_generator_series_memory_stays_near_three_grids():
         tracemalloc.stop()
         flow._generator_series.cache_clear()
     assert peak < 4 * 8 * n * n
+
+
+@pytest.mark.parametrize("ramp_fraction, bytes_per_point",
+                         [(0.125, 12), (1.0, 16)])
+def test_generator_series_holds_one_grid(ramp_fraction, bytes_per_point):
+    # the float64 node grid, the ramp points' flat indices (40 % of the
+    # grid at ramp fraction 1) and one block's fold
+    n = 800
+    s = _scenario(N=2, T=0.08, m=32, ramp_fraction=ramp_fraction)
+    flow._generator_series.cache_clear()
+    tracemalloc.start()
+    try:
+        flow._generator_series(s, s.tau, 8, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        flow._generator_series.cache_clear()
+    assert peak <= bytes_per_point * n * n
+
+
+@pytest.mark.parametrize("N", [1, 2, 4])
+@pytest.mark.parametrize("ramp_fraction", [0.125, 1.0])
+def test_origin_generator_does_not_depend_on_t(N, ramp_fraction):
+    # the series subtracts the origin's value once, at its first node
+    s = _scenario(N=N, T=0.16 / N, m=16 * N, ramp_fraction=ramp_fraction)
+    origin = np.zeros(1)
+    at = [float(flow._generator_fold(s, t, origin, origin)[0][0]).hex()
+          for t in [0.0] + [(i + 0.5) / 8 * s.tau for i in range(8)]]
+    assert at == [at[0]] * 9
+
+
+def test_generator_series_subtracts_a_nonzero_origin_once(monkeypatch):
+    # the first strip shifted so that the origin sits on its low margin,
+    # where the raw sum is -1, not 0; 90^2 points in blocks of 500
+    n, time_samples = 90, 3
+    monkeypatch.setattr(flow, "_CHUNK_SAMPLES", 500)
+    s = _scenario(N=2, T=0.08, m=32)
+    first = s.strips[0]
+    s = replace(s, strips=(replace(first, offset=1 - first.smoothing / 2),)
+                + s.strips[1:])
+    origin = np.zeros(1)
+    assert flow._generator_fold(s, s.tau, origin, origin)[0][0] == -1.0
+    flow._generator_series.cache_clear()
+    oscs, means = flow._generator_series(s, s.tau, time_samples, n)
+    flow._generator_series.cache_clear()
+    grids = [_generator_grid(s, (i + 0.5) / time_samples * s.tau, n)
+             for i in range(time_samples)]
+    assert [o.hex() for o in oscs] == \
+        [float(g.max() - g.min()).hex() for g in grids]
+    assert [v.hex() for v in means] == [float(g.mean()).hex() for g in grids]
+
+
+def test_generator_series_without_ramp_points(monkeypatch):
+    # no grid point lies on a ramp: each node folds the origin alone
+    n, time_samples = 7, 3
+    s = _scenario(N=2, T=0.08, m=32, ramp_fraction=2e-4)
+    real_fold = flow._generator_fold
+    assert int(real_fold(s, 0.0, *cell_centers(n))[1].sum()) == 0
+    node_points = []
+
+    def counted(scenario, t, x, y):
+        if t != 0.0:
+            node_points.append(np.size(x))
+        return real_fold(scenario, t, x, y)
+
+    monkeypatch.setattr(flow, "_generator_fold", counted)
+    flow._generator_series.cache_clear()
+    oscs, means = flow._generator_series(s, s.tau, time_samples, n)
+    flow._generator_series.cache_clear()
+    assert node_points == [1] * time_samples
+    grids = [_generator_grid(s, (i + 0.5) / time_samples * s.tau, n)
+             for i in range(time_samples)]
+    assert [o.hex() for o in oscs] == \
+        [float(g.max() - g.min()).hex() for g in grids]
+    assert [v.hex() for v in means] == [float(g.mean()).hex() for g in grids]
 
 
 @pytest.mark.parametrize("call", [
