@@ -190,18 +190,17 @@ def _crossings(moves: list[tuple]) -> list[tuple]:
 # Its transverse coordinate c in its home direction stays put, and in a
 # foreign one runs through c + k * shift, k = 0..n_steps, with shift = d *
 # (gradient . home direction).  So each sample is tested once per direction
-# against a cover: the c with some c + k * shift within _MARGIN of a ramp.
+# against a cover: the c with some c + k * shift within a margin of a ramp.
 # The margin absorbs the rounding of the ramp test, of the cover and of the
-# path's additions; _lone_orbits checks that bound per sample.
-_MARGIN = 1e-9
+# path's additions: Scenario.lone_margin, worked out once per batch.
 
 
-def _cover(ramps, shift: float, n_steps: int):
+def _cover(ramps, shift: float, n_steps: int, margin: float):
     """The cover of the strips ``ramps`` under ``shift`` for n_steps steps:
     its interval starts and ends mod 1, each sorted; wrapping ones split."""
-    lo = np.array([s.offset + s.smoothing - _MARGIN for s in ramps])
+    lo = np.array([s.offset + s.smoothing - margin for s in ramps])
     starts = frac(lo[:, None] - np.arange(n_steps + 1) * shift).ravel()
-    ends = starts + np.repeat([s.ramp_width + 2.0 * _MARGIN for s in ramps],
+    ends = starts + np.repeat([s.ramp_width + 2.0 * margin for s in ramps],
                               n_steps + 1)
     wrap = ends >= 1.0
     return (np.sort(np.append(starts, np.zeros(np.count_nonzero(wrap)))),
@@ -228,6 +227,10 @@ def _lone_orbits(scenario: Scenario, t: float, n_steps: int,
     but its home strip's under the exact ``StripSpec.shear`` test at every
     one of its n_steps + 1 positions.
     """
+    # a non-finite start is never lone and does not widen the margin
+    finite = np.isfinite(x0) & np.isfinite(y0)
+    margin = scenario.lone_margin(t, n_steps, max(
+        np.abs(c[finite]).max(initial=0.0) for c in (x0, y0)))
     lone = np.zeros(x0.size, dtype=bool)
     shift = np.zeros(x0.size)
     moving_family = np.full(x0.size, -1, np.int8)  # home direction if moving
@@ -236,15 +239,11 @@ def _lone_orbits(scenario: Scenario, t: float, n_steps: int,
         s, on_ramp, d = strip.shear(x0[idx], y0[idx], t)
         h = frac(s)
         # a moving orbit must stay on its home ramp while x - y drifts
-        inside = ((strip.smoothing + _MARGIN < h)
-                  & (h < strip.width - strip.smoothing - _MARGIN))
-        lone[idx] = ~on_ramp | inside
+        inside = ((strip.smoothing + margin < h)
+                  & (h < strip.width - strip.smoothing - margin))
+        lone[idx] = finite[idx] & (~on_ramp | inside)
         shift[idx] = d
         moving_family[idx[on_ramp]] = DIRECTIONS.index(strip.direction)
-    # rounding of the path's coordinates stays well inside the margin
-    # (false for non-finite starts)
-    reach = np.maximum(np.abs(x0), np.abs(y0)) + n_steps * np.abs(shift)
-    lone &= (n_steps + 2) * (reach + 2.0) * 2.0 ** -48 < _MARGIN
 
     # per direction, one cover per shift: only a moving orbit's home ramp
     # may hold its c (a still orbit near its home ramp is left out)
@@ -256,7 +255,7 @@ def _lone_orbits(scenario: Scenario, t: float, n_steps: int,
         ordered = np.sort(steps[lone])  # np.unique would import numpy.ma
         for step in ordered[np.diff(ordered, prepend=np.nan) != 0].tolist():
             ids = np.nonzero(lone & (steps == step))[0]
-            cover = _cover(ramps, step, n_steps if step else 0)
+            cover = _cover(ramps, step, n_steps if step else 0, margin)
             lone[ids] = _covered(cover, c[ids]) == (moving_family[ids] == code)
 
     for code, direction in enumerate(DIRECTIONS):

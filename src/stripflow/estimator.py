@@ -262,7 +262,9 @@ def checked_K(scenario: Scenario, K: int | None) -> int:
     above MAX_STEPS is refused (the default config runs K = 512 at N = 8).
     Over K steps a lone orbit crosses K * tau / ramp_width cut lines per
     axis, one letter each, read one crossing at a time.  More than
-    MAX_LINES_CROSSED is refused; the default config crosses 32."""
+    MAX_LINES_CROSSED is refused; the default config crosses 32.  So is
+    a ramp no wider than twice the lone-orbit margin of starts in [0, 2]:
+    floats cannot tell an orbit on it lone."""
     fa, fb = flux_check(scenario)
     if (fa, fb) != (0.0, 0.0):
         raise ValueError(f"nonzero flux {(fa, fb)}: map is not Hamiltonian")
@@ -276,6 +278,12 @@ def checked_K(scenario: Scenario, K: int | None) -> int:
     lines = max((K * scenario.tau / s.ramp_width for s in scenario.strips),
                 default=0.0)
     require_budget("K", K, lines, MAX_LINES_CROSSED, "cut lines per axis")
+    margin = scenario.lone_margin(scenario.tau, K, 2.0)
+    narrow = min((s.ramp_width for s in scenario.strips), default=math.inf)
+    if narrow <= 2.0 * margin:
+        raise ValueError(
+            f"a ramp of width {narrow:.3g} is at most twice the rounding "
+            f"margin {margin:.3g} of K={K} steps: floats cannot resolve it")
     return K
 
 

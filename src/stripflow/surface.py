@@ -172,6 +172,13 @@ class Scenario:
     def with_validation(self, report: OverlapReport) -> "Scenario":
         return replace(self, validation=report)
 
+    def lone_margin(self, t: float, n_steps: int, start: float) -> float:
+        """Twice a bound on the rounding of a lone orbit's n_steps steps of
+        time t (its ramp tests, cover and additions; see batch) from a start
+        whose coordinates are at most ``start`` in absolute value."""
+        drift = max((abs(t) / s.ramp_width for s in self.strips), default=0.0)
+        return (n_steps + 2) * (start + n_steps * drift + 2.0) * 2.0 ** -47
+
 
 # -- overlap geometry -------------------------------------------------------
 

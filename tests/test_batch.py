@@ -3,12 +3,14 @@ import hashlib
 import tracemalloc
 from collections import Counter
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from stripflow import batch, estimator
 from stripflow.batch import BatchRun, assemble_words, run_batch, wrapped_return
+from stripflow.config import load_config
 from stripflow.counting import CountingQM, homogenized_tuple
 from stripflow.estimator import (RETURN_TOL, _ramp_points, _ramp_scan,
                                  iterate_word)
@@ -21,6 +23,7 @@ from stripflow.surface import (DIRECTION_AXES, DIRECTION_VECTORS, DIRECTIONS,
 from stripflow.words import Word, cyclic_core, reduce_letters
 
 AB = CountingQM.from_text("ab")
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 SCENARIOS = {
     "N1": dict(N=1, T=0.16, m=16),
@@ -193,6 +196,13 @@ def _assert_estimator_words_exact(scenario, fast, full, x0, y0, m):
             assert classes.setdefault(w, key) == key
 
 
+def _assert_same_positions_and_flags(fast, full):
+    for field in ("x_end", "y_end", "x_m", "y_m", "moved", "foreign",
+                  "degenerate"):
+        assert _same_bits(getattr(fast, field), getattr(full, field)), field
+    assert fast.applications_per_step == full.applications_per_step
+
+
 def _assert_fast_path_exact(scenario, n_steps, x0, y0, home, m_snapshot=None,
                             collect=True, compact_fixed=True):
     args = (scenario, scenario.tau, n_steps, x0, y0)
@@ -200,10 +210,7 @@ def _assert_fast_path_exact(scenario, n_steps, x0, y0, home, m_snapshot=None,
                   compact_fixed=compact_fixed)
     fast, lone = _fast_run(*args, **kwargs)
     full = _full_engine(*args, **kwargs)
-    for field in ("x_end", "y_end", "x_m", "y_m", "moved", "foreign",
-                  "degenerate"):
-        assert _same_bits(getattr(fast, field), getattr(full, field)), field
-    assert fast.applications_per_step == full.applications_per_step
+    _assert_same_positions_and_flags(fast, full)
     if not collect:
         assert fast.event_sample is None and full.event_sample is None
         return
@@ -603,20 +610,80 @@ def test_fast_path_home_ramp_without_the_point():
 
 
 def test_fast_path_far_lifts():
-    # the same torus points, lifted 2^20 and 2^44 cells away: the rounding
-    # of far coordinates exceeds the filter's margin, so they must be left
-    # to the full engine
+    # the same torus points, lifted 2^20 and 2^44 cells away: the margin
+    # grows with the lift, to about 5e-7 at 2^20, where the orbits well
+    # inside their ramps are still lone, and to about 8 at 2^44, where every
+    # orbit is left to the full engine
     scenario = build_scenario(1, 0.16, 16, 0.02)
     x0, y0, home = _sample_batch(scenario, 100, seed=29)
-    for lift in (2.0 ** 20, 2.0 ** 44):
+    for lift, lone in ((2.0 ** 20, True), (2.0 ** 44, False)):
+        count = _lone_count(scenario, 64, x0 + lift, y0 - lift, home)
+        assert (count > 0) == lone
         _assert_fast_path_exact(scenario, 64, x0 + lift, y0 - lift, home,
                                 m_snapshot=16)
 
 
-def _cover_points(ramps, shift, n_steps, direction, rng):
+def _long_class_batch(n):
+    """``n`` seeded ramp samples per strip of the long-class layout, where a
+    lone orbit crosses 2 * 10^4 cut lines per axis in K = 4m steps."""
+    scenario = load_config(CONFIGS / "long_classes.cfg").build(1)
+    xs, ys = zip(*(_ramp_points(s, n, 31, si)
+                   for si, s in enumerate(scenario.strips)))
+    home = np.repeat(np.arange(len(scenario.strips)), n)
+    return scenario, np.concatenate(xs), np.concatenate(ys), home
+
+
+def _engine_ids(*args, **kwargs):
+    """run_batch, and the samples it sent to the full engine."""
+    seen = []
+
+    def spy(*a):
+        seen.append(a[5])
+        return real(*a)
+
+    real = batch._run_engine
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(batch, "_run_engine", spy)
+        run = run_batch(*args, **kwargs)
+    return run, np.concatenate(seen)
+
+
+def test_long_reach_orbits_skip_the_full_engine():
+    # the margin grows with the reach of the paths, so these orbits, which
+    # end about 2 * 10^4 cells from their starts, are told lone
+    scenario, x0, y0, home = _long_class_batch(10)
+    K, m = 4 * scenario.m, scenario.m
+    run, ids = _engine_ids(scenario, scenario.tau, K, x0, y0, home=home,
+                           collect=True, m_snapshot=m)
+    assert ids.size == 0 and run.moved.all()
+    _assert_same_positions_and_flags(run, _full_engine(
+        scenario, scenario.tau, K, x0, y0, home=home, collect=True,
+        m_snapshot=m))
+
+
+def test_non_finite_starts_are_never_lone():
+    # long-reach lone orbits plus non-finite starts, some of them on their
+    # home ramp (H and V test one coordinate); only the finite ones are
+    # lone, and every sample ends as in the full engine.  Arithmetic on
+    # the non-finite ones warns, as it would anywhere.
+    scenario, x0, y0, home = _long_class_batch(4)
+    inf, nan = np.inf, np.nan
+    x0 = np.append(x0, [inf, -inf, x0[4], nan, nan, 0.5])
+    y0 = np.append(y0, [y0[0], y0[1], -inf, y0[2], nan, inf])
+    home = np.append(home, [0, 0, 1, 0, 2, 0])
+    finite = np.isfinite(x0) & np.isfinite(y0)
+    args = (scenario, scenario.tau, 4 * scenario.m, x0, y0)
+    kwargs = dict(home=home, collect=True, m_snapshot=scenario.m)
+    with np.errstate(invalid="ignore"):
+        run, lone = _fast_run(*args, **kwargs)
+        _assert_same_positions_and_flags(run, _full_engine(*args, **kwargs))
+    assert (lone == finite).all()
+    assert run.moved[~finite].sum() == 4
+
+
+def _cover_points(ramps, shift, n_steps, direction, rng, margin):
     """Uniform points, plus points whose transverse coordinate in
     ``direction`` is a few margins from a ramp edge at a random step."""
-    margin = batch._MARGIN
     c = [rng.random(200)]
     for r in ramps:
         for edge in (r.offset + r.smoothing, r.offset + r.width - r.smoothing):
@@ -628,16 +695,20 @@ def _cover_points(ramps, shift, n_steps, direction, rng):
     return _point({direction: c, other: rng.random(c.size)})
 
 
-# at a lift of 2^20 one step keeps the rounding of a path within the margin
+# far lifts and long paths (at ramp fraction 2e-4 a path reaches 10^4 cells
+# in 64 steps) widen the margin, which must still bound their rounding
 @pytest.mark.parametrize("ramp_fraction,lift,n_steps", [
     (0.125, 0.0, 64), (1.0, 0.0, 64), (0.125, 2.0 ** 20, 1),
-    (1.0, 2.0 ** 20, 1)])
+    (1.0, 2.0 ** 20, 1), (2e-4, 0.0, 64)])
 def test_cover_matches_the_ramp_test_at_every_step(ramp_fraction, lift,
                                                    n_steps):
     # each home strip's path against each direction's ramps: a path that
     # StripSpec.shear puts on a ramp at some step is covered, and a covered
     # path that it never puts on one passes within 2 margins of a ramp edge
     scenario = build_scenario(2, 0.08, 32, 0.02, ramp_fraction=ramp_fraction)
+    margin = scenario.lone_margin(scenario.tau, n_steps, lift + 1.0)
+    if ramp_fraction < 1e-3:
+        assert margin > 1e-9
     rng = np.random.default_rng(41)
     over = clear = 0
     for home in scenario.strips:
@@ -647,9 +718,10 @@ def test_cover_matches_the_ramp_test_at_every_step(ramp_fraction, lift,
             ramps = [s for s in scenario.strips if s.direction == direction]
             gx, gy = TRANSVERSE_GRADIENT[direction]
             shift = (gx * vx + gy * vy) * d
-            x, y = _cover_points(ramps, shift, n_steps, direction, rng)
+            x, y = _cover_points(ramps, shift, n_steps, direction, rng,
+                                 margin)
             xy = [x + lift, y - lift]
-            cover = batch._cover(ramps, shift, n_steps)
+            cover = batch._cover(ramps, shift, n_steps, margin)
             covered = batch._covered(cover, transverse_lift(direction, *xy)) > 0
             hit = np.zeros(x.size, dtype=bool)
             near_edge = np.zeros(x.size, dtype=bool)
@@ -659,7 +731,7 @@ def test_cover_matches_the_ramp_test_at_every_step(ramp_fraction, lift,
                     hit |= on_ramp
                     for edge in (r.smoothing, r.width - r.smoothing):
                         gap = np.abs(frac(frac(s) - edge + 0.5) - 0.5)
-                        near_edge |= gap <= 2 * batch._MARGIN
+                        near_edge |= gap <= 2 * margin
                 for a in DIRECTION_AXES[home.direction]:
                     xy[a] = xy[a] + d
             assert covered[hit].all()

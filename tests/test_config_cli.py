@@ -333,6 +333,10 @@ BROKEN = {
                            "invalid_config"),
     "run_ramp_1e-9": ("run", "ramp_fraction = 1e-9", 2, "invalid_config"),
     "run_ramp_1e-5": ("run", "ramp_fraction = 1e-5", 2, "invalid_config"),
+    # a ramp (T / 8 wide) at most twice the lone-orbit margin of K steps:
+    # no orbit on it can be told lone, and floats cannot resolve it
+    "validate_T_1e-13": ("validate", "T = 1e-13", 2, "invalid_config"),
+    "run_T_1e-300": ("run", "T = 1e-300", 2, "invalid_config"),
     # too many steps (K = 4e20 crosses 6.4 lines per axis)
     "validate_m_1e20": ("validate", "m = 1e20", 2, "invalid_config"),
     "run_m_1e20": ("run", "m = 1e20", 2, "invalid_config"),
