@@ -1,7 +1,7 @@
 """Vectorized trajectory engine shared by the estimator and the grid oracle.
 
 Positions are kept as plane lifts so crossing words fall out of floor
-differences.  Each step emits its crossing events in one pass, keyed by
+differences.  Each step emits all its crossing events at once, keyed by
 (application sequence number + crossing parameter), which sorts the
 letters of a sample's word globally (the event arrays themselves come in
 no particular order).  Exact piecewise translations: no integration error.
@@ -20,8 +20,8 @@ dropped.
 One rule flags a sample that has no exact word: its start or end point
 lies on a cut line, or a foreign strip moved it and one of its moves
 starts or ends on a cut line.  A sample that only its home strip moves
-traces one straight segment, whose word its end points alone decide, so
-its steps are never checked.
+traces one straight segment, whose word its floor differences alone
+decide (``surface.straight_letters``), so its steps are never checked.
 """
 from __future__ import annotations
 
@@ -140,7 +140,7 @@ def _run_engine(scenario: Scenario, t: float, n_steps: int,
                     floors[a] = floor
                 xy[a] = new
         if moves:
-            events += _crossings(moves)
+            events.append(_crossings(moves))
 
         if step == 0 and compact_fixed and not moved_live.all():
             alive = moved_live
@@ -160,26 +160,26 @@ def _run_engine(scenario: Scenario, t: float, n_steps: int,
     return events
 
 
-def _crossings(moves: list[tuple]) -> list[tuple]:
+def _crossings(moves: list[tuple]) -> tuple:
     """Crossing events of one step's moves ``(ids, old, new, floor of old,
     floor of new, letter code, seq)`` along one axis each: sample, key
     ``seq`` + crossing parameter, signed letter, and whether the move starts
-    or ends on a cut line (a parameter within CUT_LINE_TOL of 0 or 1)."""
+    or ends on a cut line (a parameter within CUT_LINE_TOL of 0 or 1).  A
+    move is repeated once per line it crosses; a non-finite one emits none."""
     ids, old, new, c0, c1 = (np.concatenate(c)
                              for c in list(zip(*moves))[:5])
     code, seq = np.repeat([m[5:] for m in moves], [m[0].size for m in moves],
                           axis=0).T
-    counts = (c1 - c0).astype(np.int64)
-    out = []
-    for j in range(1, int(np.abs(counts).max(initial=0)) + 1):
-        sel = np.abs(counts) >= j
-        up = counts[sel] > 0
-        k = np.where(up, c0[sel] + j, c0[sel] - (j - 1))
-        tpar = (k - old[sel]) / (new[sel] - old[sel])
-        out.append((ids[sel], seq[sel] + tpar,
-                    np.where(up, code[sel], -code[sel]).astype(np.int8),
-                    (tpar < CUT_LINE_TOL) | (tpar > 1.0 - CUT_LINE_TOL)))
-    return out
+    counts = c1 - c0
+    n = np.where(np.isfinite(counts), np.abs(counts), 0).astype(np.int64)
+    move = np.repeat(np.arange(n.size), n)
+    j = np.arange(1, move.size + 1) - np.repeat(np.cumsum(n) - n, n)
+    up = counts[move] > 0
+    k = np.where(up, c0[move] + j, c0[move] - (j - 1))
+    tpar = (k - old[move]) / (new[move] - old[move])
+    return (ids[move], seq[move] + tpar,
+            np.where(up, code[move], -code[move]).astype(np.int8),
+            (tpar < CUT_LINE_TOL) | (tpar > 1.0 - CUT_LINE_TOL))
 
 
 # -- lone orbits ---------------------------------------------------------------

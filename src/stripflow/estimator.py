@@ -7,9 +7,9 @@ over their multiplicity, which makes the stratified sum an unbiased
 integral over the union.  Periodic points contribute the exact homogenized
 value of their period class; the rest contribute the finite-horizon
 quotient of their accumulated crossing word.  A sample that only its home
-strip moves reads its word off the segment it traces, the rest off events.
+strip moves reads its word off its floor differences, the rest off events.
 One pass over the strips gives each point's home strip and multiplicity,
-periodic samples are classed once per winding pair, a bad sample's word is
+periodic samples are classed from their winding pair, a bad sample's word is
 reduced once per distinct raw word (its path and closing letters) and
 valued once per distinct reduced word, and one fold over per-strip records
 gives the estimate, its error and its per-class table.
@@ -30,8 +30,8 @@ from .errors import ConfigError, DegenerateCrossing
 from .flow import (cell_centers, flux_check, require_budget,
                    require_grid_sizes, require_validity)
 from .surface import (NUDGE, Scenario, StripSpec, closing_letters,
-                      closing_word, crossing_word)
-from .words import Word, cyclic_core, primitive_period, reduce_letters
+                      closing_word, straight_letters)
+from .words import Word, reduce_letters
 
 RETURN_TOL = 1e-9
 NUDGE_RETRIES = 3
@@ -121,16 +121,6 @@ def _ramp_scan(scenario: Scenario, x: np.ndarray, y: np.ndarray):
     return home, count
 
 
-def _canonical_class(core: tuple[int, ...]) -> str:
-    """Minimal cyclic rotation by letter code (B < A < a < b), as word text:
-    the minimal rotation of the core's primitive root, repeated."""
-    if not core:
-        return ""
-    period = primitive_period(Word(core, _reduced=True).text())
-    root = min(core[i:period] + core[:i] for i in range(period))
-    return Word(root * (len(core) // period), _reduced=True).text()
-
-
 # -- batch evaluation ------------------------------------------------------------
 
 
@@ -153,20 +143,14 @@ def _windings(run: batch.BatchRun, x: np.ndarray, y: np.ndarray, idx):
     return np.stack([fx, fy], axis=1).astype(np.int64)
 
 
-def _path_word(run: batch.BatchRun, x: np.ndarray, y: np.ndarray, i: int,
-               events: dict[int, tuple[int, ...]]) -> Word:
-    """K-step word of sample i: the crossing word of the segment it traces
-    if only its home strip moved it, else its reduced crossing events."""
-    if run.foreign[i]:
-        return Word(reduce_letters(events.get(i, ())), _reduced=True)
-    return crossing_word((float(x[i]), float(y[i])),
-                         (float(run.x_end[i]), float(run.y_end[i])))
-
-
-def _periodic_core(path: Word, winding) -> tuple[int, ...]:
-    """Cyclic core of a periodic sample's m-step word: the first |fx| + |fy|
-    letters of its segment's word.  Its class depends on the winding alone."""
-    return cyclic_core(path.letters[:abs(winding[0]) + abs(winding[1])])
+def _class_core(fx: int, fy: int) -> tuple[int, ...]:
+    """The class of a periodic sample of winding (fx, fy), such as a^n, b^n,
+    (ab)^n or (BA)^n: the minimal rotation by letter code (B < A < a < b) of
+    the straight_letters of a segment of that winding led by the axis it
+    crosses more often; only its rotations by 0, 1 or -1 letters can be."""
+    p = (0.5, 0.25) if (abs(fx) >= abs(fy)) == (fx > 0) else (0.25, 0.5)
+    word = straight_letters(p, (p[0] + fx, p[1] + fy))
+    return min(word[i:] + word[:i] for i in (0, 1, len(word) - 1))
 
 
 def _evaluate_batch(scenario: Scenario, q: CountingQM, K: int,
@@ -179,7 +163,7 @@ def _evaluate_batch(scenario: Scenario, q: CountingQM, K: int,
 
     A bad sample's value depends only on its reduced K-step word: the free
     reduction of its raw word, its path letters (its crossing events if a
-    foreign strip moved it, else its segment's word) then its closing
+    foreign strip moved it, else its straight_letters) then its closing
     letters.  Each distinct raw word is reduced once and each distinct
     reduced word is homogenized once.
     """
@@ -194,14 +178,13 @@ def _evaluate_batch(scenario: Scenario, q: CountingQM, K: int,
 
     # flagged samples are re-run nudged: their values and keys are replaced
     periodic = np.nonzero((kinds == 1) & ~run.degenerate)[0]
-    # one class per winding pair, read off the first sample with that pair
-    pairs, first, inverse = np.unique(
+    # one class per winding pair; return_index spares numpy a slow row sort
+    pairs, _, inverse = np.unique(
         _windings(run, x, y, periodic), axis=0, return_index=True,
         return_inverse=True)
-    cores = [_periodic_core(_path_word(run, x, y, i, {}), w)
-             for w, i in zip(pairs.tolist(), periodic[first].tolist())]
+    cores = [_class_core(fx, fy) for fx, fy in pairs.tolist()]
     inverse = inverse.reshape(-1)  # 2-D under numpy 2.0.0
-    keys[periodic] = np.array([_canonical_class(c) for c in cores],
+    keys[periodic] = np.array([Word(c, _reduced=True).text() for c in cores],
                               dtype=object)[inverse]
     values[periodic] = np.array(
         [homogenized_tuple(pattern, c) / m for c in cores])[inverse]
@@ -222,8 +205,8 @@ def _evaluate_batch(scenario: Scenario, q: CountingQM, K: int,
                                  (float(x[i]), float(y[i])), hh)[0].letters
         else:
             close = (letter,) if letter else ()
-        raw = (events.get(i, ()) if f else _path_word(run, x, y, i, {}).letters,
-               close)
+        raw = (events.get(i, ()) if f else straight_letters(
+            (x[i], y[i]), (run.x_end[i], run.y_end[i])), close)
         if raw not in reduced:  # free reduction is confluent
             reduced[raw] = reduce_letters(raw[0] + close)
         word = reduced[raw]
@@ -261,7 +244,7 @@ def checked_K(scenario: Scenario, K: int | None) -> int:
     Every sample not dropped after the first step runs all K steps: K
     above MAX_STEPS is refused (the default config runs K = 512 at N = 8).
     Over K steps a lone orbit crosses K * tau / ramp_width cut lines per
-    axis, one letter each, read one crossing at a time.  More than
+    axis, and a bad one's word is reduced letter by letter.  More than
     MAX_LINES_CROSSED is refused; the default config crosses 32.  So is
     a ramp no wider than twice the lone-orbit margin of starts in [0, 2]:
     floats cannot tell an orbit on it lone."""
@@ -408,14 +391,15 @@ def iterate_word(scenario: Scenario, q: CountingQM, p: tuple[float, float],
     x, y, (run,) = _nudged(walk, np.array([x0]), np.array([y0]))
     p = (float(x[0]), float(y[0]))
     end = (float(run.x_end[0]), float(run.y_end[0]))
-    events = batch.assemble_words(run) if run.foreign[0] else {}
-    path = _path_word(run, x, y, 0, events)
+    path = (reduce_letters(batch.assemble_words(run).get(0, ()))
+            if run.foreign[0] else straight_letters(p, end))
     close, _ = closing_word(end, p, scenario.surface.hole_halfwidth)
-    record = dict(start=p, end=end, iterates=K, word=path * close)
+    record = dict(start=p, end=end, iterates=K,
+                  word=Word(path, _reduced=True) * close)
     kind = _kinds(run, x, y)[0]
-    if kind == 1:
-        core = _periodic_core(path, _windings(run, x, y, [0])[0])
-        record.update(period=m, class_word=Word(core, _reduced=True))
+    if kind == 1:  # a straight m-step word is cyclically reduced
+        m_word = straight_letters(p, (run.x_m[0], run.y_m[0]))
+        record.update(period=m, class_word=Word(m_word, _reduced=True))
     return TrajectoryRecord(**record,
                             kind=("stationary", "periodic", "bad")[kind])
 

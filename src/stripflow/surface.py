@@ -448,6 +448,22 @@ def crossing_word(p: tuple[float, float], q: tuple[float, float]) -> Word:
                 _reduced=True)
 
 
+def straight_letters(p: tuple[float, float], q: tuple[float, float]):
+    """``crossing_word(p, q).letters`` off the floor differences alone, if
+    p -> q runs along (1, 0), (0, 1) or (1, 1), its ends lie off the cut
+    lines and it meets no lattice point, as a home-only path does (every
+    band clears the hole): a^nx (H), b^ny (V), or alternating letters led
+    by the axis nearer its next cut line (D)."""
+    nx, ny = (math.floor(b) - math.floor(a) for a, b in zip(p, q))
+    a, b = (1 if nx > 0 else -1), (2 if ny > 0 else -2)
+    if not (nx and ny):
+        return (a,) * abs(nx) + (b,) * abs(ny)
+    # moving up, the larger fractional part is nearer its next cut line
+    pair = (a, b) if (frac(p[0]) > frac(p[1])) == (nx > 0) else (b, a)
+    n = abs(nx) + abs(ny)
+    return (pair * (n // 2 + 1))[:n]
+
+
 def _segment_hits_square(p, q, L, hh) -> bool:
     """Does the lifted segment p -> q enter the hole around lattice point L?"""
     dx, dy = q[0] - p[0], q[1] - p[1]

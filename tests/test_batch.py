@@ -1,5 +1,6 @@
 """The vectorized engine checked against the scalar reference maps."""
 import hashlib
+import math
 import tracemalloc
 from collections import Counter
 from dataclasses import fields, replace
@@ -19,6 +20,7 @@ from stripflow.surface import (DIRECTION_AXES, DIRECTION_VECTORS, DIRECTIONS,
                                TRANSVERSE_GRADIENT, build_scenario,
                                closing_letters, closing_word, crossing_word,
                                frac, near_cut_line, scenario_from_text,
+                               segment_crossings, straight_letters,
                                transverse_lift)
 from stripflow.words import Word, cyclic_core, reduce_letters
 
@@ -86,7 +88,9 @@ def test_run_batch_matches_reference(name, n_steps):
                 word = word * crossing_word(a, b)
         assert abs(run.x_end[i] - p[0]) <= 1e-12
         assert abs(run.y_end[i] - p[1]) <= 1e-12
-        assert estimator._path_word(run, x0, y0, i, events) == word
+        path = (events.get(i, ()) if run.foreign[i] else straight_letters(
+            (x0[i], y0[i]), (run.x_end[i], run.y_end[i])))
+        assert Word(path) == word
 
 
 def test_run_batch_flags_end_point_on_cut_line():
@@ -98,6 +102,49 @@ def test_run_batch_flags_end_point_on_cut_line():
                     _ramp_scan(scenario, x0, y0)[0], collect=True)
     assert (run.x_end[0], run.y_end[0]) == (1.0, 0.5)
     assert run.degenerate[0]
+
+
+def _crossing_moves(rng):
+    """One step's moves, as the engine passes them to _crossings: per axis,
+    samples crossing 0, 1, 2 and 6250 lines up and down, and samples whose
+    new coordinate is nan or inf (or both coordinates nan)."""
+    moves = []
+    for code, seq in ((1, 3.0), (2, 3.0), (1, 4.0)):
+        d = np.array([0.0, 1.0, 2.0, 6250.0] * 2) + rng.uniform(0.1, 0.4, 8)
+        old = rng.uniform(-5.0, 5.0, 8)
+        new = old + d * np.repeat([1.0, -1.0], 4)
+        old = np.append(old, [0.5, 0.5, -2.5, np.nan])
+        new = np.append(new, [np.nan, np.inf, -np.inf, np.nan])
+        ids = rng.permutation(100)[:old.size]
+        moves.append((ids, old, new, np.floor(old), np.floor(new), code, seq))
+    return moves
+
+
+def test_crossings_equal_segment_crossings_per_move():
+    moves = _crossing_moves(np.random.default_rng(11))
+    sample, key, letter, on_cut = batch._crossings(moves)
+    expected = []
+    for ids, old, new, _, _, code, seq in moves:
+        for i, a, b in zip(ids.tolist(), old.tolist(), new.tolist()):
+            if not (math.isfinite(a) and math.isfinite(b)):
+                continue
+            ends = [(a, 0.5), (b, 0.5)] if code == 1 else [(0.5, a), (0.5, b)]
+            expected += [(i, seq + t, c) for t, c in segment_crossings(*ends)]
+    order = np.lexsort((key, sample))
+    assert sorted(expected) == list(zip(sample[order].tolist(),
+                                        key[order].tolist(),
+                                        letter[order].tolist()))
+    assert letter.dtype == np.int8 and not on_cut.any()
+    assert sample.size == len(expected) > 2 * 2 * 6250
+
+
+def test_crossings_flag_a_move_that_ends_on_a_cut_line():
+    old, new = np.array([0.5, 0.75]), np.array([1.0, 2.25])
+    moves = [(np.array([0, 1]), old, new, np.floor(old), np.floor(new), 1,
+              0.0)]
+    sample, key, letter, on_cut = batch._crossings(moves)
+    assert sample.tolist() == [0, 1, 1] and letter.tolist() == [1, 1, 1]
+    assert on_cut.tolist() == [True, False, False]
 
 
 def test_run_batch_flags_start_on_cut_line():
@@ -173,27 +220,30 @@ def _event_words(run, n, max_key=None):
     return [reduce_letters(words.get(i, ())) for i in range(n)]
 
 
+def _min_rotation(core):
+    """The minimal rotation of a letter tuple by letter code, by brute force."""
+    return min((core[i:] + core[:i] for i in range(len(core))), default=())
+
+
 def _assert_estimator_words_exact(scenario, fast, full, x0, y0, m):
     """Every moved non-foreign sample: the word the estimator reads off its
-    segment, and a periodic one's m-step core, equal the full engine's
-    reduced event words; periodic classes depend on the winding alone."""
+    floor differences equals the full engine's reduced event word, and a
+    periodic one's class, built from its winding alone, is the minimal
+    rotation of the full engine's m-step core."""
     n = x0.size
     kinds = estimator._kinds(fast, x0, y0)
     assert (kinds == estimator._kinds(full, x0, y0)).all()
     k_words = _event_words(full, n)
     m_words = _event_words(full, n,
                            max_key=float(m * full.applications_per_step))
-    classes = {}
     moved = np.nonzero(fast.moved & ~fast.foreign & ~fast.degenerate)[0]
-    windings = map(tuple, estimator._windings(fast, x0, y0, moved).tolist())
+    windings = estimator._windings(fast, x0, y0, moved).tolist()
     for i, w in zip(moved.tolist(), windings):
-        path = estimator._path_word(fast, x0, y0, i, {})
-        assert path.letters == k_words[i]
+        path = straight_letters((x0[i], y0[i]), (fast.x_end[i], fast.y_end[i]))
+        assert path == k_words[i]
         if kinds[i] == 1:
-            core = estimator._periodic_core(path, w)
-            assert core == cyclic_core(m_words[i])
-            key = estimator._canonical_class(core)
-            assert classes.setdefault(w, key) == key
+            assert estimator._class_core(*w) == _min_rotation(
+                cyclic_core(m_words[i]))
 
 
 def _assert_same_positions_and_flags(fast, full):
@@ -778,7 +828,7 @@ def test_lone_step_onto_cut_line_is_not_flagged():
                           collect=True)
     assert lone[0] and abs(run.x_end[0] - 1.5) < 1e-12
     assert not run.degenerate[0]
-    assert estimator._path_word(run, x0, y0, 0, {}) == Word.from_text("a")
+    assert straight_letters((0.5, 0.39), (run.x_end[0], run.y_end[0])) == (1,)
     _assert_fast_path_exact(scenario, 2, x0, y0, home)
 
 
@@ -825,7 +875,7 @@ def _event_oracle(scenario, q, K, x, y, home):
     # flagged samples are re-run, so the estimator skips them
     for i in np.nonzero(periodic & ~run.degenerate)[0].tolist():
         core = cyclic_core(m_words[i])
-        keys[i] = estimator._canonical_class(core)
+        keys[i] = Word(_min_rotation(core)).text()
         values[i] = homogenized_tuple(pattern, core) / m
     hh = scenario.surface.hole_halfwidth
     for i in np.nonzero(~periodic & run.moved & ~run.degenerate)[0].tolist():

@@ -1,7 +1,6 @@
 """Trajectory estimator: classification, iterate_word, rho estimates."""
 import functools
 import math
-import time
 import tracemalloc
 import warnings
 
@@ -13,12 +12,12 @@ from stripflow.counting import CountingQM, estimate_defect, homogenized
 from stripflow.errors import (ConfigError, DegenerateCrossing,
                               ValidityWindowExceeded)
 from stripflow.estimator import (NUDGE_RETRIES, RhoEstimate, deficiency,
-                                 _evaluate_batch, _nudged,
+                                 _class_core, _evaluate_batch, _nudged,
                                  grid_estimate, iterate_word, rho_estimate,
-                                 rho_predicted, _canonical_class, _per_class,
+                                 rho_predicted, _per_class,
                                  _ramp_points, _ramp_scan, _record)
-from stripflow.surface import (NUDGE, HoledTorus, Scenario, build_scenario,
-                               validate_scenario)
+from stripflow.surface import (DIRECTION_VECTORS, NUDGE, HoledTorus, Scenario,
+                               build_scenario, crossing_word, validate_scenario)
 from stripflow.words import Word
 
 AB = CountingQM.from_text("ab")
@@ -452,32 +451,19 @@ def test_record_per_class_memory_does_not_grow_with_class_length():
     assert peak < 5 * 2**20, peak
 
 
-def _random_core(rng, length):
-    """A random cyclically reduced letter tuple of the given length."""
-    while True:
-        core = [int(rng.choice([-2, -1, 1, 2]))]
-        while len(core) < length:
-            letter = int(rng.choice([-2, -1, 1, 2]))
-            if letter != -core[-1]:
-                core.append(letter)
-        if len(core) < 2 or core[0] != -core[-1]:
-            return tuple(core)
-
-
-def test_canonical_class_is_the_minimal_rotation():
-    rng = np.random.default_rng(5)
-    for _ in range(500):
-        root = _random_core(rng, int(rng.integers(1, 13)))
-        for power in (1, 2, 3, 7):
-            core = root * power
-            best = min(core[i:] + core[:i] for i in range(len(core)))
-            assert _canonical_class(core) == Word(best).text()
-    assert _canonical_class(()) == ""
-
-
-def test_canonical_class_of_a_long_power_is_fast():
-    core = (-2, -1) * 20000  # (BA)^20000, 4e4 letters
-    start = time.perf_counter()
-    key = _canonical_class((-1, -2) * 20000)  # its rotation (AB)^20000
-    assert time.perf_counter() - start < 1.0
-    assert key == Word(core).text()
+@pytest.mark.parametrize("direction", sorted(DIRECTION_VECTORS))
+def test_class_core_is_the_minimal_rotation_of_a_segment_word(direction):
+    # H, V and D segments of either orientation, a D one led by either axis
+    # and crossing one axis once more than the other or not
+    vx, vy = DIRECTION_VECTORS[direction]
+    rng = np.random.default_rng(ord(direction))
+    for _ in range(200):
+        x, y = rng.uniform(-2.0, 2.0, 2)
+        if direction == "D":  # x - y at least 0.02 off an integer
+            y = x - (math.floor(x - y) + rng.uniform(0.02, 0.98))
+        length = float(rng.choice([-1.0, 1.0])) * rng.uniform(0.0, 12.0)
+        p, q = (x, y), (x + length * vx, y + length * vy)
+        core = crossing_word(p, q).letters
+        fx, fy = (math.floor(b) - math.floor(a) for a, b in zip(p, q))
+        best = min((core[i:] + core[:i] for i in range(len(core))), default=())
+        assert _class_core(fx, fy) == best

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from stripflow.errors import DegenerateCrossing, InfeasibleScenario
-from stripflow.surface import (HoledTorus, Scenario, StripSpec,
-                               build_scenario, closing_letters, closing_word,
-                               crossing_word, frac, scenario_from_text,
-                               scenario_to_text, segment_crossings,
+from stripflow.surface import (DIRECTION_VECTORS, DIRECTIONS, HoledTorus,
+                               Scenario, StripSpec, build_scenario,
+                               closing_letters, closing_word, crossing_word,
+                               frac, scenario_from_text, scenario_to_text,
+                               segment_crossings, straight_letters,
                                validate_scenario, _min_circular_gap,
                                _segment_hits_hole)
 from stripflow.words import Word
@@ -184,6 +185,31 @@ def test_crossing_word_matches_polyline_oracle():
         if abs(q[0] - round(q[0])) < 1e-6 or abs(q[1] - round(q[1])) < 1e-6:
             continue
         assert crossing_word(p, q) == _polyline_oracle(p, q)
+
+
+@pytest.mark.parametrize("direction", DIRECTIONS)
+def test_straight_letters_equal_crossing_word(direction):
+    # segments along one strip direction, away from the lattice points as a
+    # home-only path is, moving n + (0, 1) along it for n = 0 .. 49999: 0 to
+    # 10^5 letters, both ways, a D one led by either axis
+    vx, vy = DIRECTION_VECTORS[direction]
+    rng = np.random.default_rng(DIRECTIONS.index(direction))
+    lengths = [0.0] + [n + rng.random() for n in (0, 1, 2, 10, 1000)] * 4
+    lengths += [49999 + rng.random() for _ in range(2)]
+    leads, longest = set(), 0
+    for length in lengths:
+        for sign in (1.0, -1.0):
+            x, y = rng.uniform(-3.0, 3.0, 2)
+            if direction == "D":  # x - y at least 0.02 off an integer
+                y = x - (math.floor(x - y) + rng.uniform(0.02, 0.98))
+                leads.add(frac(x) > frac(y))
+            p, q = (x, y), (x + sign * length * vx, y + sign * length * vy)
+            letters = straight_letters(p, q)
+            assert letters == crossing_word(p, q).letters
+            longest = max(longest, len(letters))
+    assert longest >= (10**5 - 1 if direction == "D" else 49999)
+    if direction == "D":
+        assert leads == {True, False}
 
 
 def test_closing_word_trivial_cases():
