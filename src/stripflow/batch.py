@@ -4,7 +4,9 @@ Positions are kept as plane lifts so crossing words fall out of floor
 differences.  Each step emits all its crossing events at once, keyed by
 (application sequence number + crossing parameter), which sorts the
 letters of a sample's word globally (the event arrays themselves come in
-no particular order).  Exact piecewise translations: no integration error.
+no particular order).  They are appended once, to one store a field that
+the run's arrays view; their cut-line flags go straight to ``degenerate``.
+Exact piecewise translations: no integration error.
 
 Given each sample's home strip, run_batch first picks out the lone orbits
 (samples that only ever sit on their home ramp), each tested once per
@@ -25,6 +27,7 @@ decide (``surface.straight_letters``), so its steps are never checked.
 """
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,9 +92,9 @@ def run_batch(scenario: Scenario, t: float, n_steps: int,
                          collect, snap, compact_fixed, run)
 
     if collect:
-        run.event_sample, run.event_key, run.event_letter, on_cut = (
-            np.concatenate(c) for c in zip(*events))
-        run.degenerate[run.event_sample[on_cut]] = True
+        run.event_sample, run.event_key, run.event_letter = (
+            np.frombuffer(c, dtype)
+            for c, dtype in zip(events, (np.int64, np.float64, np.int8)))
         run.degenerate &= run.foreign
         for c in (x0, y0, run.x_end, run.y_end):
             run.degenerate |= near_cut_line(c)
@@ -101,11 +104,12 @@ def run_batch(scenario: Scenario, t: float, n_steps: int,
 def _run_engine(scenario: Scenario, t: float, n_steps: int,
                 x0: np.ndarray, y0: np.ndarray, ids: np.ndarray,
                 hm: np.ndarray, collect: bool, snap: int,
-                compact_fixed: bool, run: BatchRun) -> list[tuple]:
+                compact_fixed: bool, run: BatchRun) -> tuple[array, ...]:
     """The full engine: every step tests every sample against all strips.
 
     Writes the end points, snapshot and flags of the samples ``ids`` into
-    ``run``; with ``collect``, returns their crossing events.
+    ``run``; with ``collect``, flags those with a move on a cut line as
+    ``degenerate`` and returns their sample, key and letter stores.
     """
     strips = scenario.strips
     n_strips = len(strips)
@@ -117,8 +121,7 @@ def _run_engine(scenario: Scenario, t: float, n_steps: int,
     # acting order: last listed strip acts first
     acting = [(si, strips[si], DIRECTION_AXES[strips[si].direction])
               for si in reversed(range(n_strips))]
-    events = [(np.empty(0, dtype=np.int64), np.empty(0),
-               np.empty(0, dtype=np.int8), np.empty(0, dtype=bool))]
+    events = (array("q"), array("d"), array("b"))
 
     for step in range(n_steps):
         moves = []
@@ -140,7 +143,10 @@ def _run_engine(scenario: Scenario, t: float, n_steps: int,
                     floors[a] = floor
                 xy[a] = new
         if moves:
-            events.append(_crossings(moves))
+            *columns, on_cut = _crossings(moves)
+            run.degenerate[columns[0][on_cut]] = True
+            for store, column in zip(events, columns):
+                store.frombytes(memoryview(column).cast("B"))
 
         if step == 0 and compact_fixed and not moved_live.all():
             alive = moved_live
@@ -272,13 +278,13 @@ def _lone_orbits(scenario: Scenario, t: float, n_steps: int,
 
 
 def assemble_words(run: BatchRun, only: np.ndarray | None = None
-                   ) -> dict[int, tuple[int, ...]]:
-    """Group crossing events into per-sample letter tuples, in path order.
+                   ) -> dict[int, bytes]:
+    """Group crossing events into per-sample bytes of int8 letter codes.
 
     ``only`` restricts to the given sample indices.  Lone orbits emit no
-    events, so their tuples are empty.  The events are copied only if
-    ``only`` drops some; one sort by (sample, key) puts each sample's
-    letters in a run, and the run lengths are the per-sample event counts.
+    events, so they have no word.  The events are copied only if ``only``
+    drops some; one sort by (sample, key) puts each sample's letters in path
+    order, sliced out of one byte string by the per-sample event counts.
     """
     if run.event_sample is None:
         raise ValueError("batch was run without collect=True")
@@ -290,11 +296,11 @@ def assemble_words(run: BatchRun, only: np.ndarray | None = None
         if not mask.all():
             s, k, letters = s[mask], k[mask], letters[mask]
         del keep, mask
-    letter_list = letters[np.lexsort((k, s))].tolist()
+    text = letters[np.lexsort((k, s))].tobytes()
     counts = np.bincount(s, minlength=run.moved.size)
     samples = np.flatnonzero(counts)
     ends = np.cumsum(counts[samples]).tolist()
-    return {i: tuple(letter_list[lo:hi])
+    return {i: text[lo:hi]
             for i, lo, hi in zip(samples.tolist(), [0] + ends, ends)}
 
 

@@ -30,7 +30,8 @@ from .errors import ConfigError, DegenerateCrossing
 from .flow import (cell_centers, flux_check, require_budget,
                    require_grid_sizes, require_validity)
 from .surface import (NUDGE, Scenario, StripSpec, closing_letters,
-                      closing_word, straight_letters)
+                      closing_word, signature_letters, straight_letters,
+                      straight_signature)
 from .words import Word, reduce_letters
 
 RETURN_TOL = 1e-9
@@ -38,7 +39,7 @@ NUDGE_RETRIES = 3
 _CHUNK_SAMPLES = 180_000
 MAX_LINES_CROSSED = 10**5
 MAX_STEPS = 10**5
-# A chunk holds whole strips and peaks at about 230 bytes a sample, 410 if
+# A chunk holds whole strips and peaks at about 225 bytes a sample, 345 if
 # all are bad (tracemalloc, default N = 8 and full-ramp N = 4 chunks): a
 # strip too big at SAMPLE_BYTES each is refused.
 SAMPLE_BYTES = 1024
@@ -164,8 +165,9 @@ def _evaluate_batch(scenario: Scenario, q: CountingQM, K: int,
     A bad sample's value depends only on its reduced K-step word: the free
     reduction of its raw word, its path letters (its crossing events if a
     foreign strip moved it, else its straight_letters) then its closing
-    letters.  Each distinct raw word is reduced once and each distinct
-    reduced word is homogenized once.
+    letters.  A memo maps each raw key (event bytes, or straight_signature
+    if only its home strip moved it; closing letters) to its value: each
+    distinct key is decoded and reduced once, each reduced word valued once.
     """
     m = scenario.m
     pattern = q.pattern.letters
@@ -195,7 +197,7 @@ def _evaluate_batch(scenario: Scenario, q: CountingQM, K: int,
     hh = scenario.surface.hole_halfwidth
     letters, declined = closing_letters(run.x_end[bad], run.y_end[bad],
                                         x[bad], y[bad], hh)
-    reduced = {}  # one reduced word per distinct raw (path, closing) pair
+    memo = {}  # one value per distinct raw (path, closing) key
     valued = {}  # one value per distinct reduced K-step word
     bad_values = []
     for i, f, letter, scalar in zip(bad.tolist(), foreign.tolist(),
@@ -205,14 +207,17 @@ def _evaluate_batch(scenario: Scenario, q: CountingQM, K: int,
                                  (float(x[i]), float(y[i])), hh)[0].letters
         else:
             close = (letter,) if letter else ()
-        raw = (events.get(i, ()) if f else straight_letters(
+        raw = (events.get(i, b"") if f else straight_signature(
             (x[i], y[i]), (run.x_end[i], run.y_end[i])), close)
-        if raw not in reduced:  # free reduction is confluent
-            reduced[raw] = reduce_letters(raw[0] + close)
-        word = reduced[raw]
-        if word not in valued:
-            valued[word] = homogenized_tuple(pattern, word) / K
-        bad_values.append(valued[word])
+        value = memo.get(raw)
+        if value is None:  # free reduction is confluent
+            path = (tuple(np.frombuffer(raw[0], np.int8).tolist()) if f
+                    else signature_letters(*raw[0]))
+            word = reduce_letters(path + close)
+            if word not in valued:
+                valued[word] = homogenized_tuple(pattern, word) / K
+            value = memo[raw] = valued[word]
+        bad_values.append(value)
     values[bad] = bad_values
     return values, kinds, keys, run.degenerate
 
@@ -391,7 +396,8 @@ def iterate_word(scenario: Scenario, q: CountingQM, p: tuple[float, float],
     x, y, (run,) = _nudged(walk, np.array([x0]), np.array([y0]))
     p = (float(x[0]), float(y[0]))
     end = (float(run.x_end[0]), float(run.y_end[0]))
-    path = (reduce_letters(batch.assemble_words(run).get(0, ()))
+    events = batch.assemble_words(run).get(0, b"")
+    path = (reduce_letters(tuple(np.frombuffer(events, np.int8).tolist()))
             if run.foreign[0] else straight_letters(p, end))
     close, _ = closing_word(end, p, scenario.surface.hole_halfwidth)
     record = dict(start=p, end=end, iterates=K,

@@ -454,12 +454,25 @@ def straight_letters(p: tuple[float, float], q: tuple[float, float]):
     lines and it meets no lattice point, as a home-only path does (every
     band clears the hole): a^nx (H), b^ny (V), or alternating letters led
     by the axis nearer its next cut line (D)."""
+    return signature_letters(*straight_signature(p, q))
+
+
+def straight_signature(p: tuple[float, float], q: tuple[float, float]):
+    """(nx, ny, lead) of ``straight_letters(p, q)``: the floor differences,
+    and the axis (1 = x, 2 = y) that leads if both are nonzero, else 0."""
     nx, ny = (math.floor(b) - math.floor(a) for a, b in zip(p, q))
-    a, b = (1 if nx > 0 else -1), (2 if ny > 0 else -2)
     if not (nx and ny):
-        return (a,) * abs(nx) + (b,) * abs(ny)
+        return nx, ny, 0
     # moving up, the larger fractional part is nearer its next cut line
-    pair = (a, b) if (frac(p[0]) > frac(p[1])) == (nx > 0) else (b, a)
+    return nx, ny, 1 if (frac(p[0]) > frac(p[1])) == (nx > 0) else 2
+
+
+def signature_letters(nx: int, ny: int, lead: int) -> tuple[int, ...]:
+    """The letters of a straight_signature (nx, ny, lead)."""
+    a, b = (1 if nx > 0 else -1), (2 if ny > 0 else -2)
+    if not lead:
+        return (a,) * abs(nx) + (b,) * abs(ny)
+    pair = (a, b) if lead == 1 else (b, a)
     n = abs(nx) + abs(ny)
     return (pair * (n // 2 + 1))[:n]
 

@@ -34,6 +34,11 @@ SCENARIOS = {
 }
 
 
+def _letters(word: bytes) -> tuple[int, ...]:
+    """The letter codes of an assemble_words word."""
+    return tuple(np.frombuffer(word, np.int8).tolist())
+
+
 def _on_ramp(strip, rng, k):
     return strip.offset + strip.smoothing + rng.random(k) * strip.ramp_width
 
@@ -88,8 +93,9 @@ def test_run_batch_matches_reference(name, n_steps):
                 word = word * crossing_word(a, b)
         assert abs(run.x_end[i] - p[0]) <= 1e-12
         assert abs(run.y_end[i] - p[1]) <= 1e-12
-        path = (events.get(i, ()) if run.foreign[i] else straight_letters(
-            (x0[i], y0[i]), (run.x_end[i], run.y_end[i])))
+        path = (_letters(events.get(i, b"")) if run.foreign[i]
+                else straight_letters((x0[i], y0[i]),
+                                      (run.x_end[i], run.y_end[i])))
         assert Word(path) == word
 
 
@@ -217,7 +223,7 @@ def _event_words(run, n, max_key=None):
         run = replace(run, event_sample=sample[sel], event_key=key[sel],
                       event_letter=letter[sel])
     words = assemble_words(run)
-    return [reduce_letters(words.get(i, ())) for i in range(n)]
+    return [reduce_letters(_letters(words.get(i, b""))) for i in range(n)]
 
 
 def _min_rotation(core):
@@ -306,6 +312,19 @@ def test_fast_path_matches_full_engine(N, ramp_fraction):
 # -- word assembly ---------------------------------------------------------------
 
 
+def _traced(fn, *args, **kwargs):
+    """fn(*args, **kwargs) and the bytes it retained and peaked at beyond
+    them, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        result = fn(*args, **kwargs)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, retained, peak - retained
+
+
 def _word_batch(ramp_fraction):
     """An N = 2 batch at K = 4m with its crossing events."""
     scenario = build_scenario(2, 0.08, 32, 0.02, ramp_fraction=ramp_fraction)
@@ -321,16 +340,10 @@ def test_assemble_words_keeps_no_copy_of_the_events(ramp_fraction):
     the 17 B an event takes."""
     run = _word_batch(ramp_fraction)
     only = np.unique(run.event_sample)
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        words = assemble_words(run, only=only)
-        retained, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    words, _, transient = _traced(assemble_words, run, only=only)
     n_events = run.event_sample.size
     assert sum(map(len, words.values())) == n_events > 10_000
-    assert (peak - retained) / n_events <= 24, (peak - retained) / n_events
+    assert transient / n_events <= 24, transient / n_events
 
 
 @pytest.mark.parametrize("ramp_fraction", [0.125, 1.0])
@@ -417,18 +430,53 @@ PINNED_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("ramp_fraction", sorted(PINNED_DIGESTS))
-def test_run_batch_bits_are_pinned(ramp_fraction):
+def _pinned_batch_args(ramp_fraction):
+    """The run_batch arguments of the batch that PINNED_DIGESTS pins."""
     scenario = build_scenario(2, 0.08, 32, 0.02, ramp_fraction=ramp_fraction)
     m = scenario.m
     x0, y0, home = _sample_batch(scenario, 150, seed=2)
-    run = run_batch(scenario, scenario.tau, 4 * m, x0, y0, home,
-                    collect=True, m_snapshot=m)
+    return ((scenario, scenario.tau, 4 * m, x0, y0, home),
+            dict(collect=True, m_snapshot=m))
+
+
+@pytest.mark.parametrize("ramp_fraction", sorted(PINNED_DIGESTS))
+def test_run_batch_bits_are_pinned(ramp_fraction):
+    args, kwargs = _pinned_batch_args(ramp_fraction)
+    run = run_batch(*args, **kwargs)
     values = {f.name: getattr(run, f.name) for f in fields(BatchRun)}
     values.update(zip(("event_sample", "event_key", "event_letter"),
                       _events(run)))
     digests = {name: _digest(v) for name, v in values.items()}
     assert digests == PINNED_DIGESTS[ramp_fraction]
+
+
+def test_run_batch_holds_each_event_once():
+    """The engine appends each step's events to one store a field, which
+    the run's event arrays then view: beyond what it returns, run_batch
+    peaks under 10 B an event (the events take 17 B)."""
+    args, kwargs = _pinned_batch_args(0.125)
+    run, _, transient = _traced(run_batch, *args, **kwargs)
+    n_events = run.event_sample.size
+    assert n_events > 5000
+    assert transient / n_events <= 10, transient / n_events
+
+
+def test_assemble_words_holds_a_byte_a_letter():
+    """Each word is a bytes of int8 letter codes, one per event of its
+    sample, in key order; the words retain at most 4 B an event."""
+    args, kwargs = _pinned_batch_args(0.125)
+    run = run_batch(*args, **kwargs)
+    words, retained, _ = _traced(assemble_words, run)
+    n_events = run.event_sample.size
+    assert retained / n_events <= 4, retained / n_events
+    sample, _, letter = _events(run)
+    samples, starts, counts = np.unique(sample, return_index=True,
+                                        return_counts=True)
+    assert list(words) == samples.tolist()
+    for i, lo, count in zip(samples.tolist(), starts.tolist(),
+                            counts.tolist()):
+        assert type(words[i]) is bytes and len(words[i]) == count
+        assert _letters(words[i]) == tuple(letter[lo:lo + count].tolist())
 
 
 def _mixed_batch(scenario, n, seed):
@@ -948,7 +996,7 @@ def _raw_words(run, x0, y0, idx, scenario):
     for i in idx.tolist():
         start = (float(x0[i]), float(y0[i]))
         end = (float(run.x_end[i]), float(run.y_end[i]))
-        path = (events.get(i, ()) if run.foreign[i]
+        path = (_letters(events.get(i, b"")) if run.foreign[i]
                 else crossing_word(start, end).letters)
         pairs.add((path, closing_word(end, start, hh)[0].letters))
     return pairs
@@ -1020,6 +1068,40 @@ def test_evaluate_batch_closes_bad_orbits_in_arrays(monkeypatch):
         assert scalar or close == ((letter,) if letter else ())
         distinct.add((events.get(i, ()), close))
     assert 0 < calls["homogenized_tuple"] <= len(distinct) < bad.size // 10
+
+
+def test_evaluate_batch_expands_few_straight_words_on_tiny_ramps(monkeypatch):
+    """On tiny ramps a home-only bad sample's word has up to 2 * 10^5
+    letters: it is keyed on its straight_signature, so fewer words are
+    expanded into letters than there are such samples."""
+    config = load_config(CONFIGS / "tiny_ramp.cfg")
+    scenario = config.build(1)
+    K = config.K_for(scenario.m)
+    xs, ys = zip(*(_ramp_points(s, 50, config.seed, si)
+                   for si, s in enumerate(scenario.strips)))
+    home = np.repeat(np.arange(len(scenario.strips)), 50)
+    runs, expanded = [], []
+    real_run = batch.run_batch
+
+    def spy_run(*args, **kwargs):
+        runs.append(real_run(*args, **kwargs))
+        return runs[-1]
+
+    def counted(real):
+        def count(*args):
+            expanded.append(args)
+            return real(*args)
+        return count
+
+    monkeypatch.setattr(batch, "run_batch", spy_run)
+    for name in ("signature_letters", "straight_letters"):
+        monkeypatch.setattr(estimator, name,
+                            counted(getattr(estimator, name)))
+    _, kinds, _, degenerate = estimator._evaluate_batch(
+        scenario, AB, K, np.concatenate(xs), np.concatenate(ys), home)
+    home_only = (kinds == 2) & ~degenerate & ~runs[0].foreign
+    assert home_only.sum() > 100
+    assert len(expanded) < home_only.sum()
 
 
 def _iterate_points(scenario, seed):
