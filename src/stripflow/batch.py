@@ -277,25 +277,16 @@ def _lone_orbits(scenario: Scenario, t: float, n_steps: int,
     return lone
 
 
-def assemble_words(run: BatchRun, only: np.ndarray | None = None
-                   ) -> dict[int, bytes]:
+def assemble_words(run: BatchRun) -> dict[int, bytes]:
     """Group crossing events into per-sample bytes of int8 letter codes.
 
-    ``only`` restricts to the given sample indices.  Lone orbits emit no
-    events, so they have no word.  The events are copied only if ``only``
-    drops some; one sort by (sample, key) puts each sample's letters in path
-    order, sliced out of one byte string by the per-sample event counts.
+    Lone orbits emit no events, so they have no word.  One sort by (sample,
+    key) puts each sample's letters in path order, sliced out of one byte
+    string by the per-sample event counts.
     """
     if run.event_sample is None:
         raise ValueError("batch was run without collect=True")
     s, k, letters = run.event_sample, run.event_key, run.event_letter
-    if only is not None:
-        keep = np.zeros(run.moved.size, dtype=bool)
-        keep[only] = True
-        mask = keep[s]
-        if not mask.all():
-            s, k, letters = s[mask], k[mask], letters[mask]
-        del keep, mask
     text = letters[np.lexsort((k, s))].tobytes()
     counts = np.bincount(s, minlength=run.moved.size)
     samples = np.flatnonzero(counts)

@@ -193,7 +193,7 @@ def _evaluate_batch(scenario: Scenario, q: CountingQM, K: int,
 
     bad = np.nonzero((kinds == 2) & ~run.degenerate)[0]
     foreign = run.foreign[bad]
-    events = batch.assemble_words(run, only=bad[foreign])
+    events = batch.assemble_words(run)
     hh = scenario.surface.hole_halfwidth
     letters, declined = closing_letters(run.x_end[bad], run.y_end[bad],
                                         x[bad], y[bad], hh)
@@ -340,25 +340,25 @@ def _chunk_task(args):
 
 
 def rho_estimate(scenario: Scenario, q: CountingQM, K: int | None = None,
-                 samples_per_strip: int = 1000, seed: int = 0,
-                 workers: int | None = None) -> RhoEstimate:
+                 samples_per_strip: int = 1000, seed: int = 0) -> RhoEstimate:
     """Monte Carlo estimate of the induced quasimorphism at the scenario map.
 
     Stratified over the strips' moving bands with multiplicity-deduped
     weights; per-strip sample streams are seeded independently, so the
-    result is reproducible and independent of worker partitioning.
+    result is reproducible and independent of worker partitioning.  The
+    environment variable STRIPFLOW_WORKERS (default 1) sets the number of
+    worker processes.
     """
     K = checked_K(scenario, K)
     require_sample_size(samples_per_strip)
-    if workers is None:
-        raw = os.environ.get("STRIPFLOW_WORKERS", "1")
-        try:
-            workers = int(raw)
-        except ValueError:
-            workers = 0
-        if workers < 1:
-            raise ConfigError(
-                f"STRIPFLOW_WORKERS must be an integer >= 1, got {raw!r}")
+    raw = os.environ.get("STRIPFLOW_WORKERS", "1")
+    try:
+        workers = int(raw)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ConfigError(
+            f"STRIPFLOW_WORKERS must be an integer >= 1, got {raw!r}")
 
     strips_per_chunk = max(1, _CHUNK_SAMPLES // max(samples_per_strip, 1))
     indices = list(range(len(scenario.strips)))
@@ -377,7 +377,7 @@ def rho_estimate(scenario: Scenario, q: CountingQM, K: int | None = None,
     return _summary(scenario, [r for rs in chunk_records for r in rs])
 
 
-def iterate_word(scenario: Scenario, q: CountingQM, p: tuple[float, float],
+def iterate_word(scenario: Scenario, p: tuple[float, float],
                  K: int) -> TrajectoryRecord:
     """Track one point for K composed steps and classify its orbit."""
     if K < 1:

@@ -49,7 +49,7 @@ class Profile:
     smoothing: float
 
     def __post_init__(self):
-        if self.smoothing < 0 or 2 * self.smoothing >= self.width:
+        if not 0.0 <= 2.0 * self.smoothing < self.width:
             raise ValueError("need 0 <= 2*smoothing < width")
 
     @property
@@ -197,25 +197,22 @@ def _generator_grid(scenario: Scenario, t: float, n: int):
 
 def require_validity(scenario: Scenario, t: float):
     """Enforce the overlap-stability window: nominal drift t/T per strip
-    must stay below the recorded minimal overlap spacing."""
-    report = scenario.validation
-    if report is None:
-        raise ValueError("scenario carries no validation report")
+    must lie in [0, minimal overlap spacing); a nan drift lies outside."""
+    spacing = scenario.validation.min_overlap_spacing
     drift = t / scenario.T
-    if drift >= report.min_overlap_spacing:
+    if not 0.0 <= drift < spacing:
         raise ValidityWindowExceeded(
-            f"drift {drift:.6g} per strip exceeds the overlap spacing "
-            f"{report.min_overlap_spacing:.6g}")
+            f"drift {drift:.6g} per strip lies outside [0, overlap spacing "
+            f"{spacing:.6g})")
 
 
 def copy_oscillation_bound(scenario: Scenario) -> float:
-    """Combinatorial bound on the potential oscillation within one copy:
-    the sum of the absolute signed jumps of its strips (3 for H/V/D)."""
-    per_copy: dict[int, float] = {}
-    for strip in scenario.strips:
-        per_copy[strip.copy_id] = per_copy.get(strip.copy_id, 0.0) + \
-            abs(strip.orientation)
-    return max(per_copy.values(), default=0.0)
+    """Combinatorial bound on the potential oscillation within one copy
+    (strips 3c..3c+2): the sum of the absolute signed jumps of its strips
+    (3 for H/V/D)."""
+    strips = scenario.strips
+    return max((sum((abs(s.orientation) for s in strips[c:c + 3]), 0.0)
+                for c in range(0, len(strips), 3)), default=0.0)
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 import random
+from dataclasses import replace
 
 from . import estimator, flow
 from .config import ExperimentConfig
@@ -180,9 +181,9 @@ def prop_flux_zero(rng, config):
     fa, fb = flow.flux_check(scenario)
     if abs(fa) > 1e-12 or abs(fb) > 1e-12:
         return False, f"total flux {(fa, fb)}"
-    for copy_id, (ca, cb) in flow.per_copy_flux(scenario).items():
+    for c, (ca, cb) in flow.per_copy_flux(scenario).items():
         if abs(ca) > 1e-12 or abs(cb) > 1e-12:
-            return False, f"copy {copy_id} flux {(ca, cb)}"
+            return False, f"copy {c} flux {(ca, cb)}"
     return True, "total and per-copy flux vanish"
 
 
@@ -258,15 +259,8 @@ def prop_calabi_vs_hofer(rng, config):
 
 def prop_rho_antisymmetry(rng, config):
     scenario = _small_scenario(config)
-    flipped = Scenario(
-        surface=scenario.surface,
-        strips=tuple(
-            type(s)(direction=s.direction, offset=s.offset, width=s.width,
-                    orientation=-s.orientation, smoothing=s.smoothing,
-                    copy_id=s.copy_id)
-            for s in scenario.strips),
-        N=scenario.N, T=scenario.T, m=scenario.m,
-        validation=scenario.validation)
+    flipped = replace(scenario, strips=tuple(
+        replace(s, orientation=-s.orientation) for s in scenario.strips))
     q = CountingQM.from_text(config.pattern)
     est = estimator.rho_estimate(scenario, q, samples_per_strip=1500,
                                  seed=config.seed)

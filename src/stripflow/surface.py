@@ -29,8 +29,9 @@ clearance and the gradient of ``transverse_lift``), as does
 """
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -114,7 +115,6 @@ class StripSpec:
     width: float
     orientation: int
     smoothing: float
-    copy_id: int
 
     def __post_init__(self):
         if self.direction not in DIRECTIONS:
@@ -123,7 +123,7 @@ class StripSpec:
             raise ValueError("orientation must be +1 or -1")
         if not 0.0 < self.width < 1.0:
             raise ValueError("width must lie in (0, 1)")
-        if self.smoothing < 0.0 or 2.0 * self.smoothing >= self.width:
+        if not 0.0 <= 2.0 * self.smoothing < self.width:
             raise ValueError("need 0 <= 2*smoothing < width")
 
     @property
@@ -158,19 +158,21 @@ class OverlapReport:
 
 @dataclass(frozen=True)
 class Scenario:
+    """3N strips; copy c is ``strips[3c:3c + 3]``."""
     surface: HoledTorus
     strips: tuple[StripSpec, ...]
     N: int
     T: float
     m: int
-    validation: OverlapReport | None = None
 
     @property
     def tau(self) -> float:
         return self.T / self.m
 
-    def with_validation(self, report: OverlapReport) -> "Scenario":
-        return replace(self, validation=report)
+    @functools.cached_property
+    def validation(self) -> OverlapReport:
+        """The overlap report of these strips; raises InfeasibleScenario."""
+        return validate_scenario(self)
 
     def lone_margin(self, t: float, n_steps: int, start: float) -> float:
         """Twice a bound on the rounding of a lone orbit's n_steps steps of
@@ -252,15 +254,13 @@ def validate_scenario(scenario: Scenario) -> OverlapReport:
     N = scenario.N
     if len(strips) != 3 * N:
         raise InfeasibleScenario(f"expected {3 * N} strips, found {len(strips)}")
-    flux = per_copy_flux(scenario)
-    for copy_id in range(N):
-        dirs = sorted(s.direction for s in strips if s.copy_id == copy_id)
+    for c, flux in per_copy_flux(scenario).items():
+        dirs = sorted(s.direction for s in strips[3 * c:3 * c + 3])
         if dirs != ["D", "H", "V"]:
             raise InfeasibleScenario(
-                f"copy {copy_id} must hold one strip of each direction, got {dirs}")
-        if flux[copy_id] != (0.0, 0.0):
-            raise InfeasibleScenario(
-                f"copy {copy_id} has nonzero flux {flux[copy_id]}")
+                f"copy {c} must hold one strip of each direction, got {dirs}")
+        if flux != (0.0, 0.0):
+            raise InfeasibleScenario(f"copy {c} has nonzero flux {flux}")
     for s in strips:
         if not clears_hole(s.direction, s.offset, s.width,
                            scenario.surface.hole_halfwidth):
@@ -301,14 +301,13 @@ def validate_scenario(scenario: Scenario) -> OverlapReport:
 
 
 def per_copy_flux(scenario: Scenario) -> dict[int, tuple[float, float]]:
-    """Flux of each copy across the two cut circles, keyed by copy id."""
-    out: dict[int, list[float]] = {}
-    for strip in scenario.strips:
+    """Flux of each copy c (strips 3c..3c+2) across the two cut circles."""
+    out: dict[int, tuple[float, float]] = {}
+    for i, strip in enumerate(scenario.strips):
         vx, vy = DIRECTION_VECTORS[strip.direction]
-        acc = out.setdefault(strip.copy_id, [0.0, 0.0])
-        acc[0] += strip.orientation * vx
-        acc[1] += strip.orientation * vy
-    return {k: (v[0], v[1]) for k, v in out.items()}
+        fa, fb = out.get(i // 3, (0.0, 0.0))
+        out[i // 3] = (fa + strip.orientation * vx, fb + strip.orientation * vy)
+    return out
 
 
 # -- scenario construction ---------------------------------------------------
@@ -398,11 +397,10 @@ def build_scenario(N: int, T: float, m: int, hole_halfwidth: float,
                 width=T,
                 orientation=orientation,
                 smoothing=smoothing,
-                copy_id=i,
             ))
     scenario = Scenario(surface=surface, strips=tuple(strips), N=N, T=T, m=m)
-    report = validate_scenario(scenario)
-    return scenario.with_validation(report)
+    scenario.validation  # raises InfeasibleScenario for a bad layout
+    return scenario
 
 
 # -- crossing words ----------------------------------------------------------
@@ -645,11 +643,11 @@ def scenario_from_text(text: str) -> Scenario:
                 raise InfeasibleScenario(f"strip row needs 5 fields, got {row}")
             strips.append(StripSpec(
                 direction=row[0], offset=float(row[1]), width=float(row[2]),
-                orientation=int(row[3]), smoothing=float(row[4]),
-                copy_id=len(strips) // 3))
+                orientation=int(row[3]), smoothing=float(row[4])))
     except KeyError as exc:
         raise InfeasibleScenario(f"scenario document missing field {exc}") from exc
     except ValueError as exc:
         raise InfeasibleScenario(f"bad scenario document: {exc}") from exc
     scenario = Scenario(surface=surface, strips=tuple(strips), N=N, T=T, m=m)
-    return scenario.with_validation(validate_scenario(scenario))
+    scenario.validation  # raises InfeasibleScenario for a bad layout
+    return scenario

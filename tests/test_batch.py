@@ -335,36 +335,23 @@ def _word_batch(ramp_fraction):
 
 @pytest.mark.parametrize("ramp_fraction", [0.125, 1.0])
 def test_assemble_words_keeps_no_copy_of_the_events(ramp_fraction):
-    """With ``only`` holding every sample that has events, assembly copies
-    no event array: its transient memory stays under 24 B an event, beside
-    the 17 B an event takes."""
+    """Assembly copies no event array: its transient memory stays under
+    24 B an event, beside the 17 B an event takes."""
     run = _word_batch(ramp_fraction)
-    only = np.unique(run.event_sample)
-    words, _, transient = _traced(assemble_words, run, only=only)
+    words, _, transient = _traced(assemble_words, run)
     n_events = run.event_sample.size
     assert sum(map(len, words.values())) == n_events > 10_000
     assert transient / n_events <= 24, transient / n_events
 
 
 @pytest.mark.parametrize("ramp_fraction", [0.125, 1.0])
-def test_assemble_words_only_restricts_the_full_dict(ramp_fraction):
-    """``only`` gives the full dict restricted to it, in the same order,
-    whether or not it drops an event."""
+def test_assemble_words_keys_every_sample_with_events(ramp_fraction):
+    """The dict holds a word for every sample with events, and for no
+    other, in sample order."""
     run = _word_batch(ramp_fraction)
     full = assemble_words(run)
     assert list(full) == sorted(full)
     assert set(full) == set(run.event_sample.tolist())
-    quiet = np.setdiff1d(np.arange(run.moved.size), run.event_sample)
-    assert quiet.size > 0
-    everyone = np.concatenate([np.unique(run.event_sample), quiet[::7]])
-    assert list(assemble_words(run, only=everyone).items()) == \
-        list(full.items())
-    rng = np.random.default_rng(3)
-    subset = rng.choice(run.moved.size, run.moved.size // 3, replace=False)
-    kept = set(subset.tolist())
-    expected = [(i, w) for i, w in full.items() if i in kept]
-    assert 0 < len(expected) < len(full)
-    assert list(assemble_words(run, only=subset).items()) == expected
 
 
 def _digest(value):
@@ -946,24 +933,18 @@ def test_evaluate_batch_matches_event_words(N, m, ramp_fraction, monkeypatch):
     x0, y0, home = _sample_batch(scenario, 150, seed=31 + N)
     expected = _event_oracle(scenario, AB, K, x0, y0, home)
 
-    runs, assembled, reduced = [], [], []
-    real_run, real_assemble = batch.run_batch, batch.assemble_words
-    real_reduce = estimator.reduce_letters
+    runs, reduced = [], []
+    real_run, real_reduce = batch.run_batch, estimator.reduce_letters
 
     def spy_run(*args, **kwargs):
         runs.append(real_run(*args, **kwargs))
         return runs[-1]
-
-    def spy_assemble(run, only=None):
-        assembled.append(only)
-        return real_assemble(run, only=only)
 
     def spy_reduce(raw):
         reduced.append(raw)
         return real_reduce(raw)
 
     monkeypatch.setattr(batch, "run_batch", spy_run)
-    monkeypatch.setattr(batch, "assemble_words", spy_assemble)
     monkeypatch.setattr(estimator, "reduce_letters", spy_reduce)
     values, kinds, keys, degenerate = estimator._evaluate_batch(
         scenario, AB, K, x0, y0, home)
@@ -971,9 +952,7 @@ def test_evaluate_batch_matches_event_words(N, m, ramp_fraction, monkeypatch):
     assert (kinds == expected[1]).all()
     assert keys.tolist() == expected[2].tolist()
     assert _same_bits(degenerate, expected[3])
-    # only the samples a foreign strip moved read their crossing events
     foreign = runs[0].foreign
-    assert all(foreign[only].all() for only in assembled)
     # one reduction per distinct raw word: (path letters, closing letters)
     bad = np.nonzero((kinds == 2) & ~degenerate)[0]
     assert Counter(reduced) == Counter(
@@ -990,7 +969,7 @@ def _raw_words(run, x0, y0, idx, scenario):
     """The distinct (path letters, closing letters) pairs of the samples
     ``idx``: a sample's path letters are its crossing events if a foreign
     strip moved it, else the crossing word of its segment."""
-    events = assemble_words(run, only=idx[run.foreign[idx]])
+    events = assemble_words(run)
     hh = scenario.surface.hole_halfwidth
     pairs = set()
     for i in idx.tolist():
@@ -1056,7 +1035,7 @@ def test_evaluate_batch_closes_bad_orbits_in_arrays(monkeypatch):
 
     run = run_batch(scenario, scenario.tau, K, x0, y0, home=home,
                     collect=True, m_snapshot=scenario.m)
-    events = assemble_words(run, only=bad)
+    events = assemble_words(run)
     hh = scenario.surface.hole_halfwidth
     letters, declined = closing_letters(run.x_end[bad], run.y_end[bad],
                                         x0[bad], y0[bad], hh)
@@ -1121,10 +1100,10 @@ def test_iterate_word_matches_full_engine(N, m, ramp_fraction):
     kinds = set()
     for K in (scenario.m // 2, 2 * scenario.m):
         for p in _iterate_points(scenario, seed=37 + N):
-            rec = iterate_word(scenario, AB, p, K)
+            rec = iterate_word(scenario, p, K)
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(batch, "_lone_orbits", _no_lone_orbits)
-                assert iterate_word(scenario, AB, p, K) == rec
+                assert iterate_word(scenario, p, K) == rec
             kinds.add(rec.kind)
     assert kinds == ({"stationary", "bad"} if ramp_fraction == 0.3
                      else {"stationary", "periodic", "bad"})

@@ -17,7 +17,7 @@ from stripflow.estimator import (NUDGE_RETRIES, RhoEstimate, deficiency,
                                  rho_predicted, _per_class,
                                  _ramp_points, _ramp_scan, _record)
 from stripflow.surface import (DIRECTION_VECTORS, NUDGE, HoledTorus, Scenario,
-                               build_scenario, crossing_word, validate_scenario)
+                               build_scenario, crossing_word)
 from stripflow.words import Word
 
 AB = CountingQM.from_text("ab")
@@ -35,7 +35,7 @@ def test_deficiency_values():
 
 def test_stationary_point():
     s = _scenario()
-    rec = iterate_word(s, AB, (0.2, 0.2), 64)
+    rec = iterate_word(s, (0.2, 0.2), 64)
     assert rec.kind == "stationary"
     assert rec.word == Word()
     assert rec.end == (0.2, 0.2)
@@ -48,7 +48,7 @@ def test_h_strip_period_class_unsmoothed():
     strip = s.strips[0]
     for frac in np.linspace(0.05, 0.95, 25):
         p = (0.52 + frac / 7, strip.offset + frac * strip.width)
-        rec = iterate_word(s, AB, p, s.m)
+        rec = iterate_word(s, p, s.m)
         if rec.kind == "periodic":
             core, _ = rec.class_word.cyclic_reduce()
             assert core == Word.from_text("a")
@@ -64,7 +64,7 @@ def test_d_strip_period_class_unsmoothed():
     for frac in np.linspace(0.05, 0.95, 25):
         u = strip.offset + frac * strip.width
         p = (u + 0.29, 0.29)
-        rec = iterate_word(s, AB, p, s.m)
+        rec = iterate_word(s, p, s.m)
         if rec.kind == "periodic":
             assert homogenized(AB, rec.class_word) == -1.0  # class (ab)^-1
             break
@@ -76,7 +76,7 @@ def test_iterate_word_narrow_ramp_loop_counts():
     s = _scenario()  # default ramp = width/8: 8 loops per m steps
     strip = s.strips[0]
     p = (0.53, strip.offset + strip.width / 2)
-    rec = iterate_word(s, AB, p, 4 * s.m)
+    rec = iterate_word(s, p, 4 * s.m)
     assert rec.kind == "periodic"
     assert rec.word == Word.from_text("a" * 32)  # 8 loops/period * 4 periods
     core, _ = rec.class_word.cyclic_reduce()
@@ -85,7 +85,7 @@ def test_iterate_word_narrow_ramp_loop_counts():
 
 def test_iterate_word_nudges_degenerate_start():
     s = _scenario()
-    rec = iterate_word(s, AB, (1.0, 0.5), 16)  # exactly on a cut line
+    rec = iterate_word(s, (1.0, 0.5), 16)  # exactly on a cut line
     assert rec.kind in ("stationary", "periodic", "bad")
 
 
@@ -93,7 +93,7 @@ def test_iterate_word_nudges_end_point_on_cut_line():
     # the first step lands exactly on x = 1 (see test_batch); the nudged
     # re-run ends off the cut line and has a closing word
     s = _scenario(T=0.05, m=8, ramp_fraction=1.0)
-    rec = iterate_word(s, AB, (1.125, 0.625), 1)
+    rec = iterate_word(s, (1.125, 0.625), 1)
     assert rec.kind == "bad"
     assert rec.start == (1.125 + 1e-9, 0.625 + 1e-9)
 
@@ -105,7 +105,7 @@ def test_iterate_word_rejects_non_finite_start(p):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError) as err:
-            iterate_word(_scenario(), AB, p, 16)
+            iterate_word(_scenario(), p, 16)
     assert str(err.value) == f"start point {p!r} is not finite"
 
 
@@ -123,13 +123,11 @@ def test_rho_predicted_examples():
     assert pred.value == pytest.approx(-4 * s4.tau)
     assert rho_predicted(s4, COMM).value == 0.0
     empty = Scenario(HoledTorus(0.02), (), 0, 0.1, 4)
-    empty = empty.with_validation(validate_scenario(empty))
     assert rho_predicted(empty, AB).value == 0.0
 
 
 def test_rho_estimate_zero_strips():
     empty = Scenario(HoledTorus(0.02), (), 0, 0.1, 4)
-    empty = empty.with_validation(validate_scenario(empty))
     est = rho_estimate(empty, AB, K=4, samples_per_strip=10)
     assert est.value == 0.0 and est.stderr == 0.0 and est.samples == 0
 
@@ -167,9 +165,9 @@ def test_rho_estimate_orientation_antisymmetry():
     flipped = Scenario(
         surface=s.surface,
         strips=tuple(type(st)(st.direction, st.offset, st.width,
-                              -st.orientation, st.smoothing, st.copy_id)
+                              -st.orientation, st.smoothing)
                      for st in s.strips),
-        N=s.N, T=s.T, m=s.m, validation=s.validation)
+        N=s.N, T=s.T, m=s.m)
     a = rho_estimate(s, AB, samples_per_strip=2000, seed=7)
     b = rho_estimate(flipped, AB, samples_per_strip=2000, seed=7)
     assert a.value + b.value == pytest.approx(0.0, abs=2 * (a.stderr + b.stderr) + 1e-9)
@@ -185,7 +183,7 @@ def test_periodic_homogenization_consistency():
     for frac in np.linspace(0.05, 0.95, 12):
         u = strip.offset + strip.smoothing + frac * strip.ramp_width
         p = (u + 0.63, 0.63)
-        rec = iterate_word(s, AB, p, K)
+        rec = iterate_word(s, p, K)
         if rec.kind != "periodic":
             continue
         exact = homogenized(AB, rec.class_word) / s.m
@@ -254,8 +252,9 @@ def test_grid_estimate_raises_on_persistent_degeneracy(monkeypatch):
 def test_rho_estimate_raises_on_persistent_degeneracy(monkeypatch):
     s = _scenario(T=0.05, m=8, ramp_fraction=1.0)
     calls = _patch_run_batch(monkeypatch, _flag_first_sample)
+    monkeypatch.setenv("STRIPFLOW_WORKERS", "1")
     with pytest.raises(DegenerateCrossing):
-        rho_estimate(s, AB, K=2 * s.m, samples_per_strip=50, workers=1)
+        rho_estimate(s, AB, K=2 * s.m, samples_per_strip=50)
     assert len(calls) == NUDGE_RETRIES + 1
 
 
@@ -310,8 +309,10 @@ def test_grid_estimate_retry_replaces_class_keys(monkeypatch):
 def test_rho_estimate_independent_of_workers(monkeypatch):
     monkeypatch.setattr(estimator, "_CHUNK_SAMPLES", 400)  # 2 strips a chunk
     s = _scenario(N=2, T=0.08, m=32)
-    one = rho_estimate(s, AB, samples_per_strip=200, seed=9, workers=1)
-    two = rho_estimate(s, AB, samples_per_strip=200, seed=9, workers=2)
+    monkeypatch.setenv("STRIPFLOW_WORKERS", "1")
+    one = rho_estimate(s, AB, samples_per_strip=200, seed=9)
+    monkeypatch.setenv("STRIPFLOW_WORKERS", "2")
+    two = rho_estimate(s, AB, samples_per_strip=200, seed=9)
     assert one == two
 
 
@@ -342,8 +343,8 @@ def test_rho_estimate_starts_no_more_workers_than_chunks(monkeypatch):
     s = _scenario(N=2, T=0.08, m=32)  # 6 strips: 3 chunks
     many = rho_estimate(s, AB, samples_per_strip=200, seed=9)
     assert _SerialPool.seen == [3]
-    assert many == rho_estimate(s, AB, samples_per_strip=200, seed=9,
-                                workers=1)
+    monkeypatch.setenv("STRIPFLOW_WORKERS", "1")
+    assert many == rho_estimate(s, AB, samples_per_strip=200, seed=9)
 
 
 @pytest.mark.parametrize("raw", ["0", "-2", "two"])

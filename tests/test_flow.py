@@ -1,5 +1,6 @@
 """Flow engine: shear maps, generator, Hofer bound, Calabi, flux."""
 import hashlib
+import math
 import random
 import tracemalloc
 from dataclasses import replace
@@ -15,8 +16,7 @@ from stripflow.flow import (HoferBound, Profile, apply_composed,
                             flux_check, generator_drift_rate, generator_value,
                             hofer_upper_bound, per_copy_flux, require_validity,
                             strip_profile, cell_centers, _generator_grid)
-from stripflow.surface import (HoledTorus, Scenario, StripSpec, build_scenario,
-                               validate_scenario)
+from stripflow.surface import HoledTorus, Scenario, StripSpec, build_scenario
 from stripflow.counting import CountingQM
 from stripflow.estimator import grid_estimate, rho_estimate
 
@@ -36,6 +36,11 @@ def test_profile_values_and_velocity():
     assert np.mean([pr.velocity(h) for h in hs]) * pr.width == pytest.approx(1.0, abs=1e-2)
     with pytest.raises(ValueError):
         Profile(width=0.1, smoothing=0.05)
+
+
+def test_profile_rejects_nan_smoothing():
+    with pytest.raises(ValueError, match="smoothing"):
+        Profile(width=0.1, smoothing=math.nan)
 
 
 def test_profile_with_smoothing_margins():
@@ -372,7 +377,6 @@ def test_grid_sizes_below_one_are_rejected(call):
 
 def test_zero_strip_scenario():
     scen = Scenario(HoledTorus(0.02), (), 0, 0.1, 4)
-    scen = scen.with_validation(validate_scenario(scen))
     assert hofer_upper_bound(scen, 0.01).numeric == 0.0
     assert calabi(scen, 0.01) == 0.0
     assert flux_check(scen) == (0.0, 0.0)
@@ -414,7 +418,7 @@ def test_flux_examples():
     for fl in per_copy_flux(s).values():
         assert fl == (0.0, 0.0)
     lone = Scenario(HoledTorus(0.02),
-                    (StripSpec("H", 0.3, 0.05, 1, 0.0, 0),), 1, 0.05, 10)
+                    (StripSpec("H", 0.3, 0.05, 1, 0.0),), 1, 0.05, 10)
     assert flux_check(lone) == (1.0, 0.0)
     for scen in (s, _scenario(), _scenario(N=4, T=0.04, m=64), lone):
         fa, fb = flux_check(scen)
@@ -432,8 +436,16 @@ def test_copy_oscillation_bound():
 def test_require_validity_window():
     s = _scenario()
     require_validity(s, s.tau)
+    require_validity(s, 0.0)
     with pytest.raises(ValidityWindowExceeded):
         require_validity(s, s.T * s.validation.min_overlap_spacing * 1.5)
+
+
+@pytest.mark.parametrize("tau", [math.nan, -0.01, -1e-300])
+@pytest.mark.parametrize("quantity", [hofer_upper_bound, calabi])
+def test_hofer_and_calabi_reject_nan_or_negative_tau(quantity, tau):
+    with pytest.raises(ValidityWindowExceeded):
+        quantity(_scenario(), tau)
 
 
 def test_composition_degenerates_to_single_strip():

@@ -28,7 +28,7 @@ def test_injected_flux_bug_fails_flux_property():
     from stripflow.properties import prop_flux_zero
 
     lone = Scenario(HoledTorus(0.02),
-                    (StripSpec("H", 0.3, 0.05, 1, 0.0, 0),), 1, 0.05, 10)
+                    (StripSpec("H", 0.3, 0.05, 1, 0.0),), 1, 0.05, 10)
 
     class Broken(ExperimentConfig):
         def build(self, n):

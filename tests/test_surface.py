@@ -1,4 +1,5 @@
 """Surface geometry: scenario building, crossing words, serialization."""
+import dataclasses
 import math
 import random
 
@@ -41,14 +42,27 @@ def test_frac_equals_mod_one_bit_for_bit():
 
 
 def test_strip_transverse_and_membership():
-    h = StripSpec("H", 0.3, 0.1, 1, 0.0, 0)
+    h = StripSpec("H", 0.3, 0.1, 1, 0.0)
     assert h.transverse(0.77, 0.35) < h.width
     assert not h.transverse(0.77, 0.45) < h.width
-    v = StripSpec("V", 0.3, 0.1, 1, 0.0, 0)
+    v = StripSpec("V", 0.3, 0.1, 1, 0.0)
     assert v.transverse(0.35, 0.9) < v.width
-    d = StripSpec("D", 0.3, 0.1, -1, 0.0, 0)
+    d = StripSpec("D", 0.3, 0.1, -1, 0.0)
     assert d.transverse(0.75, 0.4) < d.width  # u = 0.35
     assert d.transverse(0.1, 0.75) < d.width  # u = -0.65 = 0.35 mod 1
+
+
+def test_strip_spec_rejects_nan_smoothing():
+    with pytest.raises(ValueError, match="smoothing"):
+        StripSpec("H", 0.3, 0.1, 1, math.nan)
+
+
+def test_overlap_report_follows_the_strips():
+    s = build_scenario(2, 0.08, 32, 0.02)
+    t = build_scenario(2, 0.08, 32, 0.02, phases=(0.1, 0.4, "auto"))
+    assert t.validation.min_overlap_spacing != s.validation.min_overlap_spacing
+    s2 = dataclasses.replace(s, strips=t.strips)
+    assert s2.validation == validate_scenario(s2) != s.validation
 
 
 def test_build_example_from_grid_phases():
@@ -133,9 +147,9 @@ def test_overlap_areas_against_grid_oracle():
 
 def test_triple_overlap_detected_by_validator():
     strips = (
-        StripSpec("H", 0.30, 0.05, 1, 0.0, 0),
-        StripSpec("V", 0.30, 0.05, 1, 0.0, 0),
-        StripSpec("D", 0.04, 0.05, -1, 0.0, 0),  # u band meets the H/V corner
+        StripSpec("H", 0.30, 0.05, 1, 0.0),
+        StripSpec("V", 0.30, 0.05, 1, 0.0),
+        StripSpec("D", 0.04, 0.05, -1, 0.0),  # u band meets the H/V corner
     )
     scen = Scenario(HoledTorus(0.02), strips, 1, 0.05, 10)
     with pytest.raises(InfeasibleScenario, match="triple"):
@@ -376,6 +390,7 @@ MALFORMED = {
     "orientation_2": (" +1 ", " +2 "),
     "hole_too_wide": ("hole_halfwidth = 0.02", "hole_halfwidth = 0.5"),
     "width_2": (" 0.16 +1 ", " 2 +1 "),
+    "smoothing_nan": (" +1 0.070000000000000007", " +1 nan"),
 }
 
 
