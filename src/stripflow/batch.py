@@ -111,6 +111,9 @@ def _run_engine(scenario: Scenario, t: float, n_steps: int,
     ``run``; with ``collect``, flags those with a move on a cut line as
     ``degenerate`` and returns their sample, key and letter stores.
     """
+    events = (array("q"), array("d"), array("b"))
+    if not ids.size:  # every sample was a lone orbit
+        return events
     strips = scenario.strips
     n_strips = len(strips)
     xy = [x0[ids], y0[ids]]
@@ -121,7 +124,6 @@ def _run_engine(scenario: Scenario, t: float, n_steps: int,
     # acting order: last listed strip acts first
     acting = [(si, strips[si], DIRECTION_AXES[strips[si].direction])
               for si in reversed(range(n_strips))]
-    events = (array("q"), array("d"), array("b"))
 
     for step in range(n_steps):
         moves = []

@@ -5,7 +5,8 @@ a comment.  Scaling rules take two tokens: ``T_rule = scaled 0.16`` means
 T = 0.16/N, ``m_rule = scaled 16`` means m = 16*N, ``K_rule = per_m 4``
 means K = 4*m.  Plain ``T = 0.05`` / ``m = 16`` / ``K = 64`` fix the value
 for every N.  A ``.json`` document with the same keys is accepted
-interchangeably.
+interchangeably.  Either sets each key at most once, ``T``, ``m`` and ``K``
+counting as ``T_rule``, ``m_rule`` and ``K_rule``.
 """
 from __future__ import annotations
 
@@ -156,6 +157,8 @@ def _assign(values: dict, key: str, tokens: list[str]):
     name = _ALIASES.get(key, key)
     if name not in _KEY_PARSERS:
         raise ConfigError(f"unknown configuration key {key!r}")
+    if name in values:
+        raise ConfigError(f"repeated configuration key {key!r} ({name})")
     try:
         values[name] = _KEY_PARSERS[name](name, tokens)
     except ValueError as exc:
@@ -174,9 +177,19 @@ def config_from_text(text: str) -> ExperimentConfig:
     return ExperimentConfig(**values)
 
 
+def _unique_members(pairs: list) -> dict:
+    """A JSON object's members as a dict; a repeated member is refused."""
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise ConfigError(f"repeated configuration key {key!r}")
+        data[key] = value
+    return data
+
+
 def config_from_json(text: str) -> ExperimentConfig:
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=_unique_members)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"bad JSON config: {exc}") from exc
     if not isinstance(data, dict):

@@ -93,13 +93,41 @@ def rho_predicted(scenario: Scenario, q: CountingQM) -> RhoPrediction:
 # -- sample generation ---------------------------------------------------------
 
 
+_MASK64 = 0xFFFFFFFFFFFFFFFF
+# Philox4x64-10: the multipliers of lanes 0 and 2, the key's increments
+_PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], np.uint64)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_LO32, _32 = np.uint64(0xFFFFFFFF), np.uint64(32)
+
+
+def _philox_doubles(key: tuple[int, int], n: int) -> np.ndarray:
+    """Draws 0..n-1 of numpy's ``Generator(Philox(key=key)).random`` stream,
+    bit for bit: draw i is lane i % 4 of Philox4x64-10 at counter (i // 4 +
+    1, 0, 0, 0), its top 53 bits times 2^-53.  Rows hold lanes (0, 2) and
+    (1, 3); every operand is uint64 and every key sum a Python int."""
+    even = np.zeros((2, -(-n // 4)), np.uint64)
+    even[0] = np.arange(1, even.shape[1] + 1)
+    odd = np.zeros_like(even)
+    m_lo, m_hi = _PHILOX_M & _LO32, _PHILOX_M >> _32
+    for r in range(10):
+        # the high halves of the 128-bit products, from 32-bit limbs
+        lo, hi = even & _LO32, even >> _32
+        lh, hl = lo * m_hi, hi * m_lo
+        mid = ((lo * m_lo) >> _32) + (lh & _LO32) + (hl & _LO32)
+        mulhi = hi * m_hi + (lh >> _32) + (hl >> _32) + (mid >> _32)
+        round_key = [[(k + r * w) & _MASK64] for k, w in zip(key, _PHILOX_W)]
+        even, odd = (mulhi[::-1] ^ odd ^ np.array(round_key, np.uint64),
+                     (even * _PHILOX_M)[::-1])
+    lanes = np.stack([even, odd], axis=1).reshape(4, -1).T.ravel()
+    return (lanes[:n] >> np.uint64(11)) * 2.0 ** -53
+
+
 def _ramp_points(strip: StripSpec, n: int, seed: int, strip_index: int):
-    """Deterministic uniform points on the strip's moving band."""
-    # a list key would go through float64 from 2^63 on and merge seeds
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, strip_index], dtype=np.uint64)
-    rng = np.random.Generator(np.random.Philox(key=key))
-    along = rng.random(n)
-    h = strip.smoothing + rng.random(n) * strip.ramp_width
+    """Deterministic uniform points on the strip's moving band: the first
+    2n draws of the strip's Philox stream, keyed by (seed mod 2^64, strip)."""
+    u = _philox_doubles((int(seed) & _MASK64, int(strip_index)), 2 * n)
+    along = u[:n]
+    h = strip.smoothing + u[n:] * strip.ramp_width
     if strip.direction == "H":
         x, y = along, strip.offset + h
     elif strip.direction == "V":

@@ -629,6 +629,8 @@ def scenario_from_text(text: str) -> Scenario:
             raise InfeasibleScenario(f"unparseable scenario line: {raw!r}")
         if key == "strip":
             strip_rows.append(value.split())
+        elif key not in ("N", "T", "m", "hole_halfwidth") or key in fields:
+            raise InfeasibleScenario(f"unknown or repeated key {key!r}")
         else:
             fields[key] = value
     try:

@@ -17,7 +17,7 @@ from stripflow.estimator import (RETURN_TOL, _ramp_points, _ramp_scan,
                                  iterate_word)
 from stripflow.flow import apply_composed
 from stripflow.surface import (DIRECTION_AXES, DIRECTION_VECTORS, DIRECTIONS,
-                               TRANSVERSE_GRADIENT, build_scenario,
+                               TRANSVERSE_GRADIENT, StripSpec, build_scenario,
                                closing_letters, closing_word, crossing_word,
                                frac, near_cut_line, scenario_from_text,
                                segment_crossings, straight_letters,
@@ -744,6 +744,31 @@ def test_long_reach_orbits_skip_the_full_engine():
     _assert_same_positions_and_flags(run, _full_engine(
         scenario, scenario.tau, K, x0, y0, home=home, collect=True,
         m_snapshot=m))
+
+
+def test_all_lone_batch_tests_the_strips_only_in_the_lone_pass(monkeypatch):
+    # with every sample lone the full engine has nothing to step: run_batch
+    # calls StripSpec.shear no more often than the lone pass itself does
+    scenario, x0, y0, home = _long_class_batch(10)
+    shear, lone_orbits = StripSpec.shear, batch._lone_orbits
+    calls, lone_calls = [], []
+
+    def counted_shear(self, *args):
+        calls.append(self)
+        return shear(self, *args)
+
+    def spy(*args):
+        before = len(calls)
+        lone = lone_orbits(*args)
+        lone_calls.append(len(calls) - before)
+        return lone
+
+    monkeypatch.setattr(StripSpec, "shear", counted_shear)
+    monkeypatch.setattr(batch, "_lone_orbits", spy)
+    run = run_batch(scenario, scenario.tau, 4 * scenario.m, x0, y0,
+                    home=home, collect=True, m_snapshot=scenario.m)
+    assert run.moved.all() and run.event_sample.size == 0
+    assert lone_calls and len(calls) <= sum(lone_calls)
 
 
 def test_non_finite_starts_are_never_lone():

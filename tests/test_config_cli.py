@@ -117,6 +117,44 @@ def test_parse_errors():
         cfg.K_for(cfg.m_for(1))  # 20.4 is not an integer
 
 
+# a key is set once, directly or through its alias (T, m, K); the same
+# value twice is refused too
+REPEATED = [
+    (("seed", 1), ("seed", 2)),
+    (("seed", 3), ("seed", 3)),
+    (("T", 0.05), ("T_rule", "scaled 0.16")),
+    (("m_rule", "fixed 8"), ("m", 8)),
+    (("K", 16), ("K_rule", "per_m 2")),
+    (("N_list", "1"), ("N_list", "2")),
+]
+
+
+@pytest.mark.parametrize("pairs", REPEATED)
+def test_repeated_keys_are_refused(pairs):
+    text = "".join(f"{key} = {value}\n" for key, value in pairs)
+    with pytest.raises(ConfigError, match="repeated configuration key"):
+        config_from_text(text)
+    # a JSON object's repeated member would otherwise keep its last value
+    members = ", ".join(f"{json.dumps(key)}: {json.dumps(value)}"
+                        for key, value in pairs)
+    with pytest.raises(ConfigError, match="repeated configuration key"):
+        config_from_json("{" + members + "}")
+
+
+@pytest.mark.parametrize("name,text", [
+    ("seed.cfg", TINY + "seed = 4\n"),
+    ("T_rule.cfg", TINY + "T_rule = scaled 0.16\n"),
+    ("seed.json", '{"N_list": [1], "seed": 1, "seed": 2}'),
+])
+def test_cli_repeated_key_exit_code(name, text, tmp_path, capsys):
+    p = tmp_path / name
+    p.write_text(text)
+    for command in ("validate", "sweep", "show-config"):
+        assert main([command, str(p)]) == 2
+        assert _one_error_record(capsys.readouterr().err)["error"] == \
+            "invalid_config"
+
+
 @pytest.mark.parametrize("line", [
     "pattern = ab BA", "phase_D = auto 0.3", "phase_D = 0.1 0.2",
     "seed = 1 2", "samples_per_strip = 400 500", "hole_halfwidth = 0.02 0.03",
@@ -153,10 +191,20 @@ def test_load_config_by_suffix(tmp_path):
         load_config(tmp_path / "missing.cfg")
 
 
+def _with_line(text: str, line: str) -> str:
+    """``text`` with ``line`` in place of the line that sets its key (T, m
+    and K set the same keys as T_rule, m_rule and K_rule)."""
+    def key(assignment):
+        return assignment.split("=", 1)[0].strip().removesuffix("_rule")
+
+    kept = [old for old in text.splitlines() if key(old) != key(line)]
+    return "\n".join(kept + [line]) + "\n"
+
+
 def _write_tiny(tmp_path, **overrides):
     text = TINY
     for key, value in overrides.items():
-        text += f"{key} = {value}\n"
+        text = _with_line(text, f"{key} = {value}")
     p = tmp_path / "tiny.cfg"
     p.write_text(text)
     return p
@@ -298,8 +346,9 @@ def _one_error_record(err: str) -> dict:
     return record
 
 
-# Each document is TINY plus the given line; {tmp} is the test directory and
-# \udcff is written as the raw byte 0xff, which is not UTF-8.
+# Each document is TINY with the given line in place of the line that sets
+# its key (a key may be set once); {tmp} is the test directory and \udcff is
+# written as the raw byte 0xff, which is not UTF-8.
 BROKEN = {
     "T_too_wide": ("validate", "T = 0.3", 2, "invalid_config"),
     "hole_too_wide": ("validate", "hole_halfwidth = 0.5", 2, "invalid_config"),
@@ -363,7 +412,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 def test_cli_error_contract(case, tmp_path, capsys):
     command, line, code, error = BROKEN[case]
     p = tmp_path / "broken.cfg"
-    text = TINY + line.format(tmp=tmp_path) + "\n"
+    text = _with_line(TINY, line.format(tmp=tmp_path))
     p.write_bytes(text.encode("utf-8", "surrogateescape"))
     args = [command, str(p)] + (["--filter", "flux"] if command == "props" else [])
     if command == "run":  # a config let through would sample: it may hang

@@ -1,13 +1,18 @@
 """Trajectory estimator: classification, iterate_word, rho estimates."""
 import functools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from stripflow import batch, estimator
+from stripflow.config import DEFAULT_SEED
 from stripflow.counting import CountingQM, estimate_defect, homogenized
 from stripflow.errors import (ConfigError, DegenerateCrossing,
                               ValidityWindowExceeded)
@@ -20,6 +25,7 @@ from stripflow.surface import (DIRECTION_VECTORS, NUDGE, HoledTorus, Scenario,
                                build_scenario, crossing_word)
 from stripflow.words import Word
 
+SRC = Path(__file__).resolve().parent.parent / "src"
 AB = CountingQM.from_text("ab")
 COMM = CountingQM.from_text("abAB")
 
@@ -366,6 +372,53 @@ def test_ramp_points_distinct_for_seeds_mod_2_64():
     # seeds are taken mod 2^64
     assert (_ramp_points(strip, 5, -5, 0)[0] ==
             _ramp_points(strip, 5, 2 ** 64 - 5, 0)[0]).all()
+
+
+def _numpy_ramp_points(strip, n, seed, strip_index):
+    """_ramp_points drawn through numpy.random: the stream the in-package
+    Philox kernel reproduces."""
+    key = np.array([seed % 2 ** 64, strip_index], dtype=np.uint64)
+    rng = np.random.Generator(np.random.Philox(key=key))
+    along = rng.random(n)
+    h = strip.smoothing + rng.random(n) * strip.ramp_width
+    if strip.direction == "H":
+        return along, strip.offset + h
+    if strip.direction == "V":
+        return strip.offset + h, along
+    return strip.offset + h + along, along
+
+
+@pytest.mark.parametrize("seed", [0, 1, DEFAULT_SEED, 2 ** 63, 2 ** 64 - 1,
+                                  -5])
+def test_ramp_points_match_numpy_philox_bit_for_bit(seed):
+    # every block boundary (n = 1..5), a long stream and each direction
+    for strip in _scenario().strips:
+        for strip_index in (0, 7, 95):
+            for n in (1, 2, 3, 4, 5, 1000, 20001):
+                got = _ramp_points(strip, n, seed, strip_index)
+                want = _numpy_ramp_points(strip, n, seed, strip_index)
+                assert [c.tobytes() for c in got] == \
+                    [c.tobytes() for c in want], (strip.direction,
+                                                  strip_index, n)
+
+
+def test_sweep_never_imports_numpy_random(tmp_path):
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text("N_list = 1\nsamples_per_strip = 50\nspace_samples = 40\n"
+                   f"time_samples = 2\noutput = {tmp_path / 'tiny.csv'}\n")
+    probe = ("import sys, numpy\n"
+             "by_numpy = 'numpy.random' in sys.modules\n"
+             "from stripflow.cli import main\n"
+             f"assert main(['sweep', {str(cfg)!r}]) == 0\n"
+             "print(by_numpy, 'numpy.random' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, env=env, timeout=120, check=True)
+    by_numpy, after = done.stdout.split()[-2:]
+    if by_numpy == "True":
+        pytest.skip("numpy < 2 imports numpy.random with numpy itself")
+    assert after == "False"
 
 
 def test_ramp_scan_matches_per_point_strip_tests():

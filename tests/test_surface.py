@@ -391,6 +391,13 @@ MALFORMED = {
     "hole_too_wide": ("hole_halfwidth = 0.02", "hole_halfwidth = 0.5"),
     "width_2": (" 0.16 +1 ", " 2 +1 "),
     "smoothing_nan": (" +1 0.070000000000000007", " +1 nan"),
+    # one value per key: an unknown key or a second N, T, m or hole
+    # half-width is refused, even with the same value
+    "unknown_key": ("m = 16", "m = 16\nfoo = 1"),
+    "m_repeated": ("m = 16", "m = 16\nm = 32"),
+    "T_repeated_same_value": ("T = 0.16", "T = 0.16\nT = 0.16"),
+    "hole_repeated": ("hole_halfwidth = 0.02",
+                      "hole_halfwidth = 0.02\nhole_halfwidth = 0.01"),
 }
 
 
