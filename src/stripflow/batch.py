@@ -11,13 +11,13 @@ Exact piecewise translations: no integration error.
 Given each sample's home strip, run_batch first picks out the lone orbits
 (samples that only ever sit on their home ramp), each tested once per
 direction against the ramps shifted along its path, and moves them along
-their home direction: one straight segment each, with no events.  Only
-the rest run through the full engine, which tests every sample against
-all 3N strips every step.  Along with each live sample's position it
-carries per strip whether that strip is not the sample's home and, when
-collecting events, the floor of each coordinate, updated once per move;
-both are sliced with the positions when the samples that never moved are
-dropped.
+their home direction: one straight segment each, with no events
+(``lone_pass`` runs this stage alone).  Only the rest run through the
+full engine, which tests every sample against all 3N strips every step.
+Along with each live sample's position it carries per strip whether that
+strip is not the sample's home and, when collecting events, the floor of
+each coordinate, updated once per move; both are sliced with the
+positions when the samples that never moved are dropped.
 
 One rule flags a sample that has no exact word: its start or end point
 lies on a cut line, or a foreign strip moved it and one of its moves
@@ -63,18 +63,39 @@ def run_batch(scenario: Scenario, t: float, n_steps: int,
     any other strip moves is ``foreign``.  Samples whose lift is unchanged
     after the first step are exactly fixed forever and are dropped from
     the iteration (their flags stay put).  The lone orbits are followed
-    along their home strip alone and only the other samples run through
-    the full engine; every position and flag is the same bit for bit, but
-    lone orbits emit no crossing events.  With ``collect``, ``degenerate``
-    flags every sample that has no exact word: a start or end point on a
-    cut line, or a foreign sample with a move that starts or ends on one.
+    along their home strip alone (``lone_pass``) and only the other samples
+    run through the full engine; every position and flag is the same bit
+    for bit, but lone orbits emit no crossing events.  With ``collect``,
+    ``degenerate`` flags every sample that has no exact word: a start or
+    end point on a cut line, or a foreign sample with a move that starts or
+    ends on one.
     """
-    n_strips = len(scenario.strips)
+    x0 = np.asarray(x0, dtype=float)
+    y0 = np.asarray(y0, dtype=float)
+    run, rest = lone_pass(scenario, t, n_steps, x0, y0, home,
+                          m_snapshot=m_snapshot)
+    events = _run_engine(scenario, t, n_steps, x0, y0, rest, home[rest],
+                         collect, _snap(n_steps, m_snapshot), compact_fixed,
+                         run)
+    if collect:
+        _flag_words(run, x0, y0, events)
+    return run
+
+
+def lone_pass(scenario: Scenario, t: float, n_steps: int,
+              x0: np.ndarray, y0: np.ndarray, home: np.ndarray,
+              collect: bool = False,
+              m_snapshot: int | None = None) -> tuple[BatchRun, np.ndarray]:
+    """run_batch's lone pass alone: its run, in which the lone orbits are
+    final and every other sample still sits unmoved at its start, and the
+    ids of those others (the samples the full engine would take), in order.
+    With ``collect`` the run has no events, and ``degenerate`` flags each
+    sample whose start or end in it lies on a cut line: for a lone orbit,
+    as run_batch would."""
     x0 = np.asarray(x0, dtype=float)
     y0 = np.asarray(y0, dtype=float)
     n = x0.size
-    snap = m_snapshot - 1 if (m_snapshot is not None
-                              and 1 <= m_snapshot <= n_steps) else -1
+    snap = _snap(n_steps, m_snapshot)
     run = BatchRun(
         x_end=x0.copy(), y_end=y0.copy(),
         x_m=x0.copy() if snap >= 0 else None,
@@ -82,23 +103,33 @@ def run_batch(scenario: Scenario, t: float, n_steps: int,
         moved=np.zeros(n, dtype=bool), foreign=np.zeros(n, dtype=bool),
         degenerate=np.zeros(n, dtype=bool),
         event_sample=None, event_key=None, event_letter=None,
-        applications_per_step=n_strips)
-
+        applications_per_step=len(scenario.strips))
     rest = np.arange(n, dtype=np.int64)
     if n_steps > 0:
         rest = rest[~_lone_orbits(scenario, t, n_steps, x0, y0, home, snap,
                                   run)]
-    events = _run_engine(scenario, t, n_steps, x0, y0, rest, home[rest],
-                         collect, snap, compact_fixed, run)
-
     if collect:
-        run.event_sample, run.event_key, run.event_letter = (
-            np.frombuffer(c, dtype)
-            for c, dtype in zip(events, (np.int64, np.float64, np.int8)))
-        run.degenerate &= run.foreign
-        for c in (x0, y0, run.x_end, run.y_end):
-            run.degenerate |= near_cut_line(c)
-    return run
+        _flag_words(run, x0, y0, (array("q"), array("d"), array("b")))
+    return run, rest
+
+
+def _snap(n_steps: int, m_snapshot: int | None) -> int:
+    """The step after which the snapshot is taken, -1 for none."""
+    return (m_snapshot - 1 if m_snapshot is not None
+            and 1 <= m_snapshot <= n_steps else -1)
+
+
+def _flag_words(run: BatchRun, x0: np.ndarray, y0: np.ndarray,
+                events: tuple[array, ...]):
+    """View the event stores as the run's event arrays, and flag as
+    ``degenerate`` the samples with no exact word: a foreign one the engine
+    flagged, and every one whose start or end lies on a cut line."""
+    run.event_sample, run.event_key, run.event_letter = (
+        np.frombuffer(c, dtype)
+        for c, dtype in zip(events, (np.int64, np.float64, np.int8)))
+    run.degenerate &= run.foreign
+    for c in (x0, y0, run.x_end, run.y_end):
+        run.degenerate |= near_cut_line(c)
 
 
 def _run_engine(scenario: Scenario, t: float, n_steps: int,

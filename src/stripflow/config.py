@@ -17,8 +17,8 @@ from pathlib import Path
 from typing import ClassVar
 
 from .errors import ConfigError
-from .estimator import checked_K, require_sample_size
-from .flow import require_series_size
+from .estimator import MAX_STEPS, checked_K, require_sample_size
+from .flow import require_budget, require_series_size
 from .surface import (AUTO, DEFAULT_PHASE_H, DEFAULT_PHASE_V,
                       DEFAULT_RAMP_FRACTION, Scenario, build_scenario,
                       document_lines)
@@ -99,15 +99,19 @@ class ExperimentConfig:
         k = value * m if kind == "per_m" else value
         ki = _positive_int(k)
         if ki is None or ki % m != 0:
-            raise ConfigError(f"K={k} must be a positive multiple of m={m}")
+            raise ConfigError(
+                f"K={k:.12g} must be a positive multiple of m={m:.12g}")
         return ki
 
     def build(self, N: int) -> Scenario:
         """The scenario at N, through every check that ``run`` and ``sweep``
         make before they sample."""
         try:
+            m = self.m_for(N)
+            # K >= m: a long period is refused by name before K is formed
+            require_budget("m", m, m, MAX_STEPS, "steps")
             scenario = build_scenario(
-                N, self.T_for(N), self.m_for(N), self.hole_halfwidth,
+                N, self.T_for(N), m, self.hole_halfwidth,
                 phases=(self.phase_H, self.phase_V, self.phase_D),
                 ramp_fraction=self.ramp_fraction)
             checked_K(scenario, self.K_for(scenario.m))

@@ -12,7 +12,10 @@ One pass over the strips gives each point's home strip and multiplicity,
 periodic samples are classed from their winding pair, a bad sample's word is
 reduced once per distinct raw word (its path and closing letters) and
 valued once per distinct reduced word, and one fold over per-strip records
-gives the estimate, its error and its per-class table.
+gives the estimate, its error and its per-class table.  Samples are drawn
+and evaluated in blocks of _BLOCK_SAMPLES: each block takes one lone pass,
+and the rest of every block are pooled and run through the full engine in
+blocks of the same size, so memory follows a block, not the chunk.
 """
 from __future__ import annotations
 
@@ -37,10 +40,12 @@ from .words import Word, reduce_letters
 RETURN_TOL = 1e-9
 NUDGE_RETRIES = 3
 _CHUNK_SAMPLES = 180_000
+_BLOCK_SAMPLES = 1 << 14
 MAX_LINES_CROSSED = 10**5
 MAX_STEPS = 10**5
-# A chunk holds whole strips and peaks at about 225 bytes a sample, 345 if
-# all are bad (tracemalloc, default N = 8 and full-ramp N = 4 chunks): a
+# A chunk holds whole strips.  It peaks at about 120-175 bytes a sample on
+# the default N = 8 chunks (180 000 samples) and 280 on full-ramp's N = 4
+# chunk (36 000, all bad), where its blocks weigh more (tracemalloc): a
 # strip too big at SAMPLE_BYTES each is refused.
 SAMPLE_BYTES = 1024
 MAX_CHUNK_BYTES = 1 << 31
@@ -100,13 +105,16 @@ _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _LO32, _32 = np.uint64(0xFFFFFFFF), np.uint64(32)
 
 
-def _philox_doubles(key: tuple[int, int], n: int) -> np.ndarray:
-    """Draws 0..n-1 of numpy's ``Generator(Philox(key=key)).random`` stream,
-    bit for bit: draw i is lane i % 4 of Philox4x64-10 at counter (i // 4 +
-    1, 0, 0, 0), its top 53 bits times 2^-53.  Rows hold lanes (0, 2) and
-    (1, 3); every operand is uint64 and every key sum a Python int."""
-    even = np.zeros((2, -(-n // 4)), np.uint64)
-    even[0] = np.arange(1, even.shape[1] + 1)
+def _philox_doubles(key: tuple[int, int], n: int,
+                    start: int = 0) -> np.ndarray:
+    """Draws start..start+n-1 of numpy's ``Generator(Philox(key=key))
+    .random`` stream, bit for bit: draw i is lane i % 4 of Philox4x64-10 at
+    counter (i // 4 + 1, 0, 0, 0), its top 53 bits times 2^-53.  Rows hold
+    lanes (0, 2) and (1, 3); every operand is uint64 and every key sum a
+    Python int."""
+    first = start // 4
+    even = np.zeros((2, (start + n + 3) // 4 - first), np.uint64)
+    even[0] = np.arange(first + 1, first + 1 + even.shape[1])
     odd = np.zeros_like(even)
     m_lo, m_hi = _PHILOX_M & _LO32, _PHILOX_M >> _32
     for r in range(10):
@@ -119,15 +127,19 @@ def _philox_doubles(key: tuple[int, int], n: int) -> np.ndarray:
         even, odd = (mulhi[::-1] ^ odd ^ np.array(round_key, np.uint64),
                      (even * _PHILOX_M)[::-1])
     lanes = np.stack([even, odd], axis=1).reshape(4, -1).T.ravel()
-    return (lanes[:n] >> np.uint64(11)) * 2.0 ** -53
+    return (lanes[start % 4:start % 4 + n] >> np.uint64(11)) * 2.0 ** -53
 
 
-def _ramp_points(strip: StripSpec, n: int, seed: int, strip_index: int):
-    """Deterministic uniform points on the strip's moving band: the first
-    2n draws of the strip's Philox stream, keyed by (seed mod 2^64, strip)."""
-    u = _philox_doubles((int(seed) & _MASK64, int(strip_index)), 2 * n)
-    along = u[:n]
-    h = strip.smoothing + u[n:] * strip.ramp_width
+def _ramp_points(strip: StripSpec, n: int, seed: int, strip_index: int,
+                 lo: int = 0, hi: int | None = None):
+    """Deterministic uniform points on the strip's moving band: points
+    lo..hi-1 (default all n) of n drawn from the strip's Philox stream,
+    keyed by (seed mod 2^64, strip); point i takes draws i and n + i."""
+    hi = n if hi is None else hi
+    key = (int(seed) & _MASK64, int(strip_index))
+    along = _philox_doubles(key, hi - lo, lo)
+    h = (strip.smoothing
+         + _philox_doubles(key, hi - lo, n + lo) * strip.ramp_width)
     if strip.direction == "H":
         x, y = along, strip.offset + h
     elif strip.direction == "V":
@@ -184,7 +196,16 @@ def _class_core(fx: int, fy: int) -> tuple[int, ...]:
 
 def _evaluate_batch(scenario: Scenario, q: CountingQM, K: int,
                     x: np.ndarray, y: np.ndarray, home: np.ndarray):
-    """Classify a batch and return per-sample values and class keys.
+    """Run a batch through ``batch.run_batch`` and value it (``_value``)."""
+    return _value(scenario, q, K, x, y,
+                  batch.run_batch(scenario, scenario.tau, K, x, y, home=home,
+                                  collect=True, m_snapshot=scenario.m))
+
+
+def _value(scenario: Scenario, q: CountingQM, K: int,
+           x: np.ndarray, y: np.ndarray, run: batch.BatchRun):
+    """Classify the samples of a K-step run (collected, snapshot at m) from
+    starts (x, y) and return per-sample values and class keys.
 
     Returns (values, kinds, keys, degenerate) with kinds 0 = stationary,
     1 = periodic, 2 = bad, and ``keys`` an object array holding each
@@ -199,8 +220,6 @@ def _evaluate_batch(scenario: Scenario, q: CountingQM, K: int,
     """
     m = scenario.m
     pattern = q.pattern.letters
-    run = batch.run_batch(scenario, scenario.tau, K, x, y,
-                          home=home, collect=True, m_snapshot=m)
     kinds = _kinds(run, x, y)
     n = x.size
     values = np.zeros(n)
@@ -250,24 +269,90 @@ def _evaluate_batch(scenario: Scenario, q: CountingQM, K: int,
     return values, kinds, keys, run.degenerate
 
 
+def _evaluate_blocks(scenario: Scenario, q: CountingQM, K: int, n: int,
+                     draw):
+    """Per-sample values, kinds and keys of n samples, as ``_nudged`` over
+    ``_evaluate_batch`` gives them, bit for bit; ``draw(lo, hi)`` gives the
+    starts and home strips of samples lo..hi-1.
+
+    The samples are drawn in blocks of _BLOCK_SAMPLES, and each block takes
+    one lone pass, whose run values its lone orbits.  The others of every
+    block are pooled and run through ``batch.run_batch``, then the
+    degenerate samples re-run nudged, in blocks of _BLOCK_SAMPLES.  One
+    block goes to run_batch whole: its own lone pass is the same.
+    """
+    out = (np.zeros(n), np.zeros(n, dtype=np.int64),
+           np.full(n, None, dtype=object))
+    pooled, flagged = [], []
+    if n <= _BLOCK_SAMPLES:
+        pooled.append((np.arange(n), *draw(0, n)))
+    else:
+        for lo in range(0, n, _BLOCK_SAMPLES):
+            x, y, home = draw(lo, min(lo + _BLOCK_SAMPLES, n))
+            run, rest = batch.lone_pass(scenario, scenario.tau, K, x, y, home,
+                                        collect=True, m_snapshot=scenario.m)
+            # the rest sit unmoved in this run: the pooled runs replace them
+            *res, degenerate = _value(scenario, q, K, x, y, run)
+            for a, b in zip(out, res):
+                a[lo:lo + x.size] = b
+            degenerate[rest] = False
+            for parts, ids in ((pooled, rest),
+                               (flagged, degenerate.nonzero()[0])):
+                parts.append((ids + lo, x[ids], y[ids], home[ids]))
+    evaluate = functools.partial(_evaluate_pooled, scenario, q, K, out)
+    ids, x, y, home = (np.concatenate(c) for c in zip(*pooled))
+    degenerate = evaluate(ids, x, y, home)
+    flagged.append(tuple(c[degenerate] for c in (ids, x, y, home)))
+    _retry(evaluate, *(np.concatenate(c) for c in zip(*flagged)))
+    return out
+
+
+def _evaluate_pooled(scenario: Scenario, q: CountingQM, K: int, out,
+                     ids: np.ndarray, x: np.ndarray, y: np.ndarray,
+                     home: np.ndarray) -> np.ndarray:
+    """Evaluate the samples ``ids`` from starts (x, y) in blocks of
+    _BLOCK_SAMPLES, write their values, kinds and keys into ``out`` at ids
+    and return the mask of the degenerate ones."""
+    degenerate = np.zeros(ids.size, dtype=bool)
+    for lo in range(0, ids.size, _BLOCK_SAMPLES):
+        block = slice(lo, lo + _BLOCK_SAMPLES)
+        *res, degenerate[block] = _evaluate_batch(
+            scenario, q, K, x[block], y[block], home[block])
+        for a, b in zip(out, res):
+            a[ids[block]] = b
+    return degenerate
+
+
+def _retry(evaluate, ids, x, y, *rest):
+    """Re-run the degenerate samples ``ids`` from start (x, y) + k * NUDGE,
+    k = 1..NUDGE_RETRIES: ``evaluate(ids, x, y, *rest)`` takes the outputs
+    of each nudged run and returns the mask of those still degenerate.
+    Raises DegenerateCrossing if samples stay degenerate."""
+    for k in range(1, NUDGE_RETRIES + 1):
+        if not ids.size:
+            break
+        degenerate = evaluate(ids, x + k * NUDGE, y + k * NUDGE, *rest)
+        ids, x, y, *rest = (c[degenerate] for c in (ids, x, y, *rest))
+    if ids.size:
+        raise DegenerateCrossing(
+            f"degenerate samples persisted after {NUDGE_RETRIES} nudges")
+
+
 def _nudged(evaluate, x, y, *rest):
     """Run ``evaluate(x, y, *rest)`` (per-sample outputs, the last flagging
     the degenerate samples) and re-run those from start + k * NUDGE, k = 1..
     NUDGE_RETRIES, each taking the outputs of its nudged run.  Raises
     DegenerateCrossing if samples stay degenerate."""
     *out, degenerate = evaluate(x, y, *rest)
-    idx = np.nonzero(degenerate)[0]
-    for k in range(1, NUDGE_RETRIES + 1):
-        if not idx.size:
-            break
-        *res, degenerate = evaluate(x[idx] + k * NUDGE, y[idx] + k * NUDGE,
-                                    *(r[idx] for r in rest))
+
+    def take(ids, *args):
+        *res, degenerate = evaluate(*args)
         for a, b in zip(out, res):
-            a[idx] = b
-        idx = idx[degenerate]
-    if idx.size:
-        raise DegenerateCrossing(
-            f"degenerate samples persisted after {NUDGE_RETRIES} nudges")
+            a[ids] = b
+        return degenerate
+
+    idx = degenerate.nonzero()[0]
+    _retry(take, idx, x[idx], y[idx], *(r[idx] for r in rest))
     return out
 
 
@@ -353,12 +438,20 @@ def _chunk_task(args):
     """One record per strip of the chunk, each point weighted by one over
     the number of ramps that hold it."""
     (scenario, q, K, strip_indices, n, seed) = args
-    x, y = np.concatenate([_ramp_points(scenario.strips[si], n, seed, si)
-                           for si in strip_indices], axis=1)
-    home = np.repeat(np.array(strip_indices, dtype=np.int64), n)
-    weights = 1.0 / np.maximum(_ramp_scan(scenario, x, y)[1], 1)
-    values, kinds, keys = _nudged(
-        functools.partial(_evaluate_batch, scenario, q, K), x, y, home)
+    weights = np.empty(n * len(strip_indices))
+
+    def draw(lo, hi):
+        """Samples lo..hi-1 of the chunk's strips in turn, weighed."""
+        parts = []
+        for j in range(lo // n, -(-hi // n)):
+            si, a, b = strip_indices[j], max(lo - j * n, 0), min(hi - j * n, n)
+            x, y = _ramp_points(scenario.strips[si], n, seed, si, a, b)
+            parts.append((x, y, np.full(b - a, si, dtype=np.int64)))
+        x, y, home = (np.concatenate(c) for c in zip(*parts))
+        weights[lo:hi] = 1.0 / np.maximum(_ramp_scan(scenario, x, y)[1], 1)
+        return x, y, home
+
+    values, kinds, keys = _evaluate_blocks(scenario, q, K, weights.size, draw)
     contrib = values * weights
     blocks = zip(*(np.split(a, len(strip_indices))
                    for a in (contrib, weights, kinds, keys)))
@@ -451,10 +544,13 @@ def grid_estimate(scenario: Scenario, q: CountingQM, K: int | None = None,
     gx, gy = cell_centers(grid)
     home = _ramp_scan(scenario, gx, gy)[0]
     sel = np.nonzero(home >= 0)[0]
-    values, kinds, keys = _nudged(
-        functools.partial(_evaluate_batch, scenario, q, K),
-        gx[sel], gy[sel], home[sel])
-    # one stratum of weight-1 cells; none if no cell lies on a ramp
+    if not sel.size:  # no cell lies on a ramp
+        return _summary(scenario, [])
+    gx, gy, home = gx[sel], gy[sel], home[sel]
+    values, kinds, keys = _evaluate_blocks(
+        scenario, q, K, sel.size,
+        lambda lo, hi: (gx[lo:hi], gy[lo:hi], home[lo:hi]))
+    # one stratum of weight-1 cells
     area = sel.size * (1.0 / (grid * grid))
     return _summary(scenario, [_record(area, values, np.ones(sel.size), kinds,
-                                       keys)] if sel.size else [])
+                                       keys)])

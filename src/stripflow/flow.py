@@ -177,7 +177,8 @@ def require_budget(key: str, value, need: float, limit: float, unit: str):
     """The one form of every cost bound: ValueError if need > limit."""
     if need > limit:
         raise ValueError(
-            f"{key}={value} needs {need:.3g} {unit}, more than {limit:.3g}")
+            f"{key}={value:.12g} needs {need:.12g} {unit}, more than "
+            f"{limit:.12g}")
 
 
 def cell_centers(n: int):

@@ -261,6 +261,20 @@ def test_cli_bad_config_exit_code(tmp_path, capsys):
     assert record["error"] == "invalid_config"
 
 
+@pytest.mark.parametrize("text", ["m = 1e300\n", "m = 1e300\nK = 64\n"])
+def test_cli_refuses_a_huge_m_by_name(text, tmp_path, capsys):
+    # every sample runs K >= m steps: m is refused by name before K is
+    # formed, and the detail gives its numbers to 12 digits, not 301
+    p = tmp_path / "huge_m.cfg"
+    p.write_text(text)
+    assert main(["validate", str(p)]) == 2
+    err = capsys.readouterr().err
+    record = _one_error_record(err)
+    assert record["error"] == "invalid_config"
+    assert len(err.strip()) < 200
+    assert "m=1e+300 " in record["detail"] and "K=" not in record["detail"]
+
+
 def test_cli_props_filter(tmp_path, capsys):
     assert main(["props", str(_write_tiny(tmp_path)), "--filter", "word"]) == 0
     out = capsys.readouterr().out

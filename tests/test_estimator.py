@@ -322,6 +322,99 @@ def test_rho_estimate_independent_of_workers(monkeypatch):
     assert one == two
 
 
+def _hex(est: RhoEstimate):
+    """Every field of an estimate, floats by float.hex, per_class in order."""
+    return (est.value.hex(), est.stderr.hex(), est.bad_area.hex(),
+            est.bad_contribution_bound.hex(), est.samples,
+            [(key, area.hex(), contrib.hex())
+             for key, (area, contrib) in est.per_class.items()])
+
+
+def _block_spies(monkeypatch):
+    """Count the lone passes of their own (outside run_batch) and the
+    run_batch calls, and list the run_batch calls' starts."""
+    seen = {"lone_pass": 0, "run_batch": []}
+    real_lone, real_run = batch.lone_pass, batch.run_batch
+
+    def lone_pass(*args, **kwargs):
+        seen["lone_pass"] += 1
+        return real_lone(*args, **kwargs)
+
+    def run_batch(scenario, t, n_steps, x0, y0, *args, **kwargs):
+        seen["run_batch"].append(np.array(x0))
+        with monkeypatch.context() as mp:
+            mp.setattr(batch, "lone_pass", real_lone)
+            return real_run(scenario, t, n_steps, x0, y0, *args, **kwargs)
+
+    monkeypatch.setattr(batch, "lone_pass", lone_pass)
+    monkeypatch.setattr(batch, "run_batch", run_batch)
+    return seen
+
+
+def test_blocks_change_no_estimate(monkeypatch):
+    # blocks of 32 samples: many lone passes and several pooled run_batch
+    # calls.  A sample of strip 0 that is a lone orbit from x = 1 and the
+    # first grid column, pooled, start on a cut line: both take nudged
+    # re-runs.
+    s = _scenario(N=2, T=0.08, m=32)
+    assert s.strips[0].direction == "H"
+    real_points, real_centers = estimator._ramp_points, estimator.cell_centers
+    _, y = real_points(s.strips[0], 300, 5, 0)
+    _, rest = batch.lone_pass(s, s.tau, 4 * s.m, np.ones(y.size), y,
+                              np.zeros(y.size, dtype=np.int64))
+    cut = np.setdiff1d(np.arange(y.size), rest)[-1]
+    assert cut >= 32  # not in the first block
+
+    def points(strip, n, seed, strip_index, lo=0, hi=None):
+        x, y = real_points(strip, n, seed, strip_index, lo, hi)
+        if strip_index == 0 and lo <= cut < lo + x.size:
+            x[cut - lo] = 1.0
+        return x, y
+
+    def centers(n):
+        gx, gy = real_centers(n)
+        gx[gx == gx.min()] = 0.0
+        return gx, gy
+
+    monkeypatch.setattr(estimator, "_ramp_points", points)
+    monkeypatch.setattr(estimator, "cell_centers", centers)
+    monkeypatch.setenv("STRIPFLOW_WORKERS", "1")
+    rho_one = rho_estimate(s, AB, samples_per_strip=300, seed=5)
+    grid_one = grid_estimate(s, AB, grid=100)
+    monkeypatch.setattr(estimator, "_BLOCK_SAMPLES", 32)
+    seen = _block_spies(monkeypatch)
+    rho_blocks = rho_estimate(s, AB, samples_per_strip=300, seed=5)
+    grid_blocks = grid_estimate(s, AB, grid=100)
+    assert seen["lone_pass"] == -(-1800 // 32) + -(-grid_one.samples // 32)
+    assert sum(x.size == 32 for x in seen["run_batch"]) >= 2
+    assert [x.size for x in seen["run_batch"] if (x == 1.0 + NUDGE).any()] \
+        == [1]
+    assert any((x == NUDGE).any() for x in seen["run_batch"])
+    assert _hex(rho_blocks) == _hex(rho_one)
+    assert _hex(grid_blocks) == _hex(grid_one)
+    assert rho_one.per_class and grid_one.per_class
+
+
+def test_blocks_classify_each_lone_orbit_once(monkeypatch):
+    # a lone orbit is valued off its block's lone pass: neither the pooled
+    # run_batch calls nor a second lone pass classify it again
+    s = _scenario(N=2, T=0.08, m=32, ramp_fraction=0.2)
+    monkeypatch.setattr(estimator, "_BLOCK_SAMPLES", 64)
+    monkeypatch.setenv("STRIPFLOW_WORKERS", "1")
+    real = batch._lone_orbits
+    lone_starts = []
+
+    def spy(scenario, t, n_steps, x0, y0, *rest):
+        lone = real(scenario, t, n_steps, x0, y0, *rest)
+        lone_starts.extend(zip(x0[lone].tolist(), y0[lone].tolist()))
+        return lone
+
+    monkeypatch.setattr(batch, "_lone_orbits", spy)
+    est = rho_estimate(s, AB, samples_per_strip=300, seed=5)
+    assert 0 < len(lone_starts) < est.samples
+    assert len(set(lone_starts)) == len(lone_starts)
+
+
 class _SerialPool:
     """Stand-in for ProcessPoolExecutor: records max_workers, starts no
     process and maps the tasks in this process."""
@@ -400,6 +493,16 @@ def test_ramp_points_match_numpy_philox_bit_for_bit(seed):
                 assert [c.tobytes() for c in got] == \
                     [c.tobytes() for c in want], (strip.direction,
                                                   strip_index, n)
+
+
+def test_ramp_points_draw_any_range_of_the_stream():
+    # points lo..hi-1 are those of the whole draw, across Philox blocks
+    for strip in _scenario().strips:
+        whole = _ramp_points(strip, 23, 11, 2)
+        for lo, hi in ((0, 23), (0, 1), (3, 9), (5, 6), (7, 23), (8, 8)):
+            part = _ramp_points(strip, 23, 11, 2, lo, hi)
+            assert [c.tobytes() for c in part] == \
+                [c[lo:hi].tobytes() for c in whole], (lo, hi)
 
 
 def test_sweep_never_imports_numpy_random(tmp_path):
