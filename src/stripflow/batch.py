@@ -310,22 +310,22 @@ def _lone_orbits(scenario: Scenario, t: float, n_steps: int,
     return lone
 
 
-def assemble_words(run: BatchRun) -> dict[int, bytes]:
-    """Group crossing events into per-sample bytes of int8 letter codes.
+def assemble_words(run: BatchRun) -> tuple[bytes, np.ndarray]:
+    """All the words of a run in one buffer of int8 letter codes, and the
+    n + 1 bounds of its n samples' words: sample i's word is
+    ``text[bounds[i]:bounds[i + 1]]``.
 
-    Lone orbits emit no events, so they have no word.  One sort by (sample,
-    key) puts each sample's letters in path order, sliced out of one byte
-    string by the per-sample event counts.
+    Lone orbits emit no events, so their words are empty.  One sort by
+    (sample, key) puts each sample's letters in path order, sample by
+    sample; the bounds are the running per-sample event counts.
     """
     if run.event_sample is None:
         raise ValueError("batch was run without collect=True")
     s, k, letters = run.event_sample, run.event_key, run.event_letter
     text = letters[np.lexsort((k, s))].tobytes()
-    counts = np.bincount(s, minlength=run.moved.size)
-    samples = np.flatnonzero(counts)
-    ends = np.cumsum(counts[samples]).tolist()
-    return {i: text[lo:hi]
-            for i, lo, hi in zip(samples.tolist(), [0] + ends, ends)}
+    bounds = np.zeros(run.moved.size + 1, dtype=np.int64)
+    np.cumsum(np.bincount(s, minlength=run.moved.size), out=bounds[1:])
+    return text, bounds
 
 
 def wrapped_return(x_m, y_m, x0, y0, tol: float) -> np.ndarray:

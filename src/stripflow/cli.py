@@ -19,7 +19,6 @@ from .errors import (ConfigError, DegenerateCrossing, InfeasibleScenario,
                      StripflowError, ValidityWindowExceeded)
 from .estimator import rho_estimate, rho_predicted
 from .flow import calabi, flux_check, hofer_upper_bound
-from .properties import run_property_suite
 from .surface import scenario_to_text
 from .words import primitive_period
 
@@ -140,6 +139,8 @@ def cmd_sweep(config: ExperimentConfig, output: str | None) -> int:
 
 
 def cmd_props(config: ExperimentConfig, name_filter: str | None) -> int:
+    from .properties import run_property_suite  # only props loads the suite
+
     results = run_property_suite(config, name_filter)
     for name, passed, detail in results:
         status = "PASS" if passed else "FAIL"

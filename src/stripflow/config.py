@@ -18,7 +18,7 @@ from typing import ClassVar
 
 from .errors import ConfigError
 from .estimator import MAX_STEPS, checked_K, require_sample_size
-from .flow import require_budget, require_series_size
+from .flow import g12, require_budget, require_series_size
 from .surface import (AUTO, DEFAULT_PHASE_H, DEFAULT_PHASE_V,
                       DEFAULT_RAMP_FRACTION, Scenario, build_scenario,
                       document_lines)
@@ -31,7 +31,10 @@ Text = str
 
 
 def _positive_int(value: float) -> int | None:
-    """``value`` as an int if it is within 1e-12 of an integer >= 1."""
+    """``value`` as an int if it is within 1e-12 of an integer >= 1; an int
+    is taken as it is, however large."""
+    if isinstance(value, int):
+        return value if value >= 1 else None
     i = round(value) if math.isfinite(value) else 0
     return i if i >= 1 and abs(value - i) <= 1e-12 else None
 
@@ -100,7 +103,7 @@ class ExperimentConfig:
         ki = _positive_int(k)
         if ki is None or ki % m != 0:
             raise ConfigError(
-                f"K={k:.12g} must be a positive multiple of m={m:.12g}")
+                f"K={g12(k)} must be a positive multiple of m={g12(m)}")
         return ki
 
     def build(self, N: int) -> Scenario:
@@ -117,7 +120,9 @@ class ExperimentConfig:
             checked_K(scenario, self.K_for(scenario.m))
             require_sample_size(self.samples_per_strip)
             require_series_size(self.space_samples, self.time_samples)
-        except ValueError as exc:
+        # OverflowError: a rule value too large for a float (T_rule =
+        # scaled 1e400 written as an integer)
+        except (ValueError, OverflowError) as exc:
             raise ConfigError(f"N={N}: {exc}") from exc
         return scenario
 

@@ -19,7 +19,6 @@ blocks of the same size, so memory follows a block, not the chunk.
 """
 from __future__ import annotations
 
-import concurrent.futures
 import functools
 import math
 import os
@@ -43,10 +42,10 @@ _CHUNK_SAMPLES = 180_000
 _BLOCK_SAMPLES = 1 << 14
 MAX_LINES_CROSSED = 10**5
 MAX_STEPS = 10**5
-# A chunk holds whole strips.  It peaks at about 120-175 bytes a sample on
-# the default N = 8 chunks (180 000 samples) and 280 on full-ramp's N = 4
-# chunk (36 000, all bad), where its blocks weigh more (tracemalloc): a
-# strip too big at SAMPLE_BYTES each is refused.
+# A chunk holds whole strips.  It peaks at about 115-170 bytes a sample on
+# the default N = 8 chunks (120 000 and 180 000 samples) and 225 on
+# full-ramp's N = 4 chunk (36 000, all bad), where its blocks weigh more
+# (tracemalloc): a strip too big at SAMPLE_BYTES each is refused.
 SAMPLE_BYTES = 1024
 MAX_CHUNK_BYTES = 1 << 31
 
@@ -214,9 +213,10 @@ def _value(scenario: Scenario, q: CountingQM, K: int,
     A bad sample's value depends only on its reduced K-step word: the free
     reduction of its raw word, its path letters (its crossing events if a
     foreign strip moved it, else its straight_letters) then its closing
-    letters.  A memo maps each raw key (event bytes, or straight_signature
-    if only its home strip moved it; closing letters) to its value: each
-    distinct key is decoded and reduced once, each reduced word valued once.
+    letters.  A memo maps each raw key (its slice of the run's letter
+    buffer, or straight_signature if only its home strip moved it; closing
+    letters) to its value: each distinct key is decoded and reduced once,
+    each reduced word valued once.
     """
     m = scenario.m
     pattern = q.pattern.letters
@@ -240,21 +240,22 @@ def _value(scenario: Scenario, q: CountingQM, K: int,
 
     bad = np.nonzero((kinds == 2) & ~run.degenerate)[0]
     foreign = run.foreign[bad]
-    events = batch.assemble_words(run)
+    text, bounds = batch.assemble_words(run)
     hh = scenario.surface.hole_halfwidth
     letters, declined = closing_letters(run.x_end[bad], run.y_end[bad],
                                         x[bad], y[bad], hh)
     memo = {}  # one value per distinct raw (path, closing) key
     valued = {}  # one value per distinct reduced K-step word
     bad_values = []
-    for i, f, letter, scalar in zip(bad.tolist(), foreign.tolist(),
-                                    letters.tolist(), declined.tolist()):
+    # memoryviews yield Python scalars one at a time: no list a sample
+    for i, f, lo, hi, letter, scalar in zip(*map(memoryview, (
+            bad, foreign, bounds[bad], bounds[bad + 1], letters, declined))):
         if scalar:
             close = closing_word((float(run.x_end[i]), float(run.y_end[i])),
                                  (float(x[i]), float(y[i])), hh)[0].letters
         else:
             close = (letter,) if letter else ()
-        raw = (events.get(i, b"") if f else straight_signature(
+        raw = (text[lo:hi] if f else straight_signature(
             (x[i], y[i]), (run.x_end[i], run.y_end[i])), close)
         value = memo.get(raw)
         if value is None:  # free reduction is confluent
@@ -288,23 +289,34 @@ def _evaluate_blocks(scenario: Scenario, q: CountingQM, K: int, n: int,
         pooled.append((np.arange(n), *draw(0, n)))
     else:
         for lo in range(0, n, _BLOCK_SAMPLES):
-            x, y, home = draw(lo, min(lo + _BLOCK_SAMPLES, n))
-            run, rest = batch.lone_pass(scenario, scenario.tau, K, x, y, home,
-                                        collect=True, m_snapshot=scenario.m)
-            # the rest sit unmoved in this run: the pooled runs replace them
-            *res, degenerate = _value(scenario, q, K, x, y, run)
-            for a, b in zip(out, res):
-                a[lo:lo + x.size] = b
-            degenerate[rest] = False
-            for parts, ids in ((pooled, rest),
-                               (flagged, degenerate.nonzero()[0])):
-                parts.append((ids + lo, x[ids], y[ids], home[ids]))
+            rest, lone_flagged = _evaluate_lone(
+                scenario, q, K, out, lo,
+                *draw(lo, min(lo + _BLOCK_SAMPLES, n)))
+            pooled.append(rest)
+            flagged.append(lone_flagged)
     evaluate = functools.partial(_evaluate_pooled, scenario, q, K, out)
     ids, x, y, home = (np.concatenate(c) for c in zip(*pooled))
+    del pooled  # one copy of the pooled samples through the engine runs
     degenerate = evaluate(ids, x, y, home)
     flagged.append(tuple(c[degenerate] for c in (ids, x, y, home)))
     _retry(evaluate, *(np.concatenate(c) for c in zip(*flagged)))
     return out
+
+
+def _evaluate_lone(scenario: Scenario, q: CountingQM, K: int, out, lo: int,
+                   x: np.ndarray, y: np.ndarray, home: np.ndarray):
+    """One block's lone pass over samples lo.. from starts (x, y): write its
+    values, kinds and keys into ``out`` and return the (ids, x, y, home) of
+    the samples it leaves to the full engine and of its degenerate ones."""
+    run, rest = batch.lone_pass(scenario, scenario.tau, K, x, y, home,
+                                collect=True, m_snapshot=scenario.m)
+    # the rest sit unmoved in this run: the pooled runs replace them
+    *res, degenerate = _value(scenario, q, K, x, y, run)
+    for a, b in zip(out, res):
+        a[lo:lo + x.size] = b
+    degenerate[rest] = False
+    return [(ids + lo, x[ids], y[ids], home[ids])
+            for ids in (rest, degenerate.nonzero()[0])]
 
 
 def _evaluate_pooled(scenario: Scenario, q: CountingQM, K: int, out,
@@ -406,6 +418,19 @@ def _per_class(rows):
     return table
 
 
+def _class_sums(keys: np.ndarray, areas: np.ndarray, contribs: np.ndarray):
+    """``_per_class`` of the rows (key, area, contribution) of three arrays,
+    bit for bit: classes coded in order of first appearance, each summed
+    by ``np.bincount``, which adds in input order."""
+    held = np.flatnonzero(np.not_equal(keys, None))
+    classes = keys[held]
+    code = {key: j for j, key in enumerate(dict.fromkeys(classes))}
+    codes = np.fromiter(map(code.__getitem__, classes), np.int64, held.size)
+    sums = (np.bincount(codes, c[held], len(code)).tolist()
+            for c in (areas, contribs))
+    return dict(zip(code, zip(*sums)))
+
+
 def _record(area: float, contrib: np.ndarray, weights: np.ndarray,
             kinds: np.ndarray, keys: np.ndarray):
     """One stratum's record from its area and its samples' weighted
@@ -413,8 +438,7 @@ def _record(area: float, contrib: np.ndarray, weights: np.ndarray,
     n = contrib.size
     return (area, n, float(contrib.mean()), float(contrib.var()),
             float(weights[kinds == 2].sum()),
-            _per_class(zip(keys.tolist(), (weights * area / n).tolist(),
-                           (contrib * area / n).tolist())))
+            _class_sums(keys, weights * area / n, contrib * area / n))
 
 
 def _summary(scenario: Scenario, records) -> RhoEstimate:
@@ -488,6 +512,8 @@ def rho_estimate(scenario: Scenario, q: CountingQM, K: int | None = None,
     tasks = [(scenario, q, K, chunk, samples_per_strip, seed)
              for chunk in chunks]
     if workers > 1 and len(tasks) > 1:
+        import concurrent.futures  # only a run that starts workers loads it
+
         # the fork start method starts all max_workers processes at once
         with concurrent.futures.ProcessPoolExecutor(
                 max_workers=min(workers, len(tasks))) as pool:
@@ -517,7 +543,7 @@ def iterate_word(scenario: Scenario, p: tuple[float, float],
     x, y, (run,) = _nudged(walk, np.array([x0]), np.array([y0]))
     p = (float(x[0]), float(y[0]))
     end = (float(run.x_end[0]), float(run.y_end[0]))
-    events = batch.assemble_words(run).get(0, b"")
+    events, _ = batch.assemble_words(run)  # the one sample's word
     path = (reduce_letters(tuple(np.frombuffer(events, np.int8).tolist()))
             if run.foreign[0] else straight_letters(p, end))
     close, _ = closing_word(end, p, scenario.surface.hole_halfwidth)

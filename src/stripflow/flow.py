@@ -173,12 +173,22 @@ def require_grid_sizes(**sizes: int):
             raise ValueError(f"{name} must be >= 1")
 
 
+def g12(x) -> str:
+    """``x`` to 12 significant digits, as ``:.12g`` gives it, also for an
+    int too large for a float."""
+    try:
+        return format(x, ".12g")
+    except OverflowError:
+        import decimal  # only such an int loads it
+
+        return format(decimal.Decimal(x).normalize(), ".12g")
+
+
 def require_budget(key: str, value, need: float, limit: float, unit: str):
     """The one form of every cost bound: ValueError if need > limit."""
     if need > limit:
-        raise ValueError(
-            f"{key}={value:.12g} needs {need:.12g} {unit}, more than "
-            f"{limit:.12g}")
+        raise ValueError(f"{key}={g12(value)} needs {g12(need)} {unit}, "
+                         f"more than {g12(limit)}")
 
 
 def cell_centers(n: int):

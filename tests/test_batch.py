@@ -34,9 +34,11 @@ SCENARIOS = {
 }
 
 
-def _letters(word: bytes) -> tuple[int, ...]:
-    """The letter codes of an assemble_words word."""
-    return tuple(np.frombuffer(word, np.int8).tolist())
+def _letters(words, i: int) -> tuple[int, ...]:
+    """The letter codes of sample i's word in assemble_words' buffer."""
+    text, bounds = words
+    return tuple(np.frombuffer(text[bounds[i]:bounds[i + 1]],
+                               np.int8).tolist())
 
 
 def _on_ramp(strip, rng, k):
@@ -93,7 +95,7 @@ def test_run_batch_matches_reference(name, n_steps):
                 word = word * crossing_word(a, b)
         assert abs(run.x_end[i] - p[0]) <= 1e-12
         assert abs(run.y_end[i] - p[1]) <= 1e-12
-        path = (_letters(events.get(i, b"")) if run.foreign[i]
+        path = (_letters(events, i) if run.foreign[i]
                 else straight_letters((x0[i], y0[i]),
                                       (run.x_end[i], run.y_end[i])))
         assert Word(path) == word
@@ -223,7 +225,7 @@ def _event_words(run, n, max_key=None):
         run = replace(run, event_sample=sample[sel], event_key=key[sel],
                       event_letter=letter[sel])
     words = assemble_words(run)
-    return [reduce_letters(_letters(words.get(i, b""))) for i in range(n)]
+    return [reduce_letters(_letters(words, i)) for i in range(n)]
 
 
 def _min_rotation(core):
@@ -338,20 +340,23 @@ def test_assemble_words_keeps_no_copy_of_the_events(ramp_fraction):
     """Assembly copies no event array: its transient memory stays under
     24 B an event, beside the 17 B an event takes."""
     run = _word_batch(ramp_fraction)
-    words, _, transient = _traced(assemble_words, run)
+    (text, bounds), _, transient = _traced(assemble_words, run)
     n_events = run.event_sample.size
-    assert sum(map(len, words.values())) == n_events > 10_000
+    assert np.diff(bounds).sum() == len(text) == n_events > 10_000
     assert transient / n_events <= 24, transient / n_events
 
 
 @pytest.mark.parametrize("ramp_fraction", [0.125, 1.0])
 def test_assemble_words_keys_every_sample_with_events(ramp_fraction):
-    """The dict holds a word for every sample with events, and for no
+    """The bounds give a word to every sample with events, and to no
     other, in sample order."""
     run = _word_batch(ramp_fraction)
-    full = assemble_words(run)
-    assert list(full) == sorted(full)
-    assert set(full) == set(run.event_sample.tolist())
+    text, bounds = assemble_words(run)
+    assert bounds.dtype == np.int64 and bounds.size == run.moved.size + 1
+    assert bounds[0] == 0 and bounds[-1] == len(text)
+    assert (np.diff(bounds) >= 0).all()
+    assert set(np.flatnonzero(np.diff(bounds)).tolist()) == \
+        set(run.event_sample.tolist())
 
 
 def _digest(value):
@@ -449,8 +454,9 @@ def test_run_batch_holds_each_event_once():
 
 
 def test_assemble_words_holds_a_byte_a_letter():
-    """Each word is a bytes of int8 letter codes, one per event of its
-    sample, in key order; the words retain at most 4 B an event."""
+    """Each word is a slice of one bytes of int8 letter codes, one per
+    event of its sample, in key order; the words retain at most 4 B an
+    event."""
     args, kwargs = _pinned_batch_args(0.125)
     run = run_batch(*args, **kwargs)
     words, retained, _ = _traced(assemble_words, run)
@@ -459,11 +465,28 @@ def test_assemble_words_holds_a_byte_a_letter():
     sample, _, letter = _events(run)
     samples, starts, counts = np.unique(sample, return_index=True,
                                         return_counts=True)
-    assert list(words) == samples.tolist()
+    text, bounds = words
+    assert type(text) is bytes
+    assert np.flatnonzero(np.diff(bounds)).tolist() == samples.tolist()
     for i, lo, count in zip(samples.tolist(), starts.tolist(),
                             counts.tolist()):
-        assert type(words[i]) is bytes and len(words[i]) == count
-        assert _letters(words[i]) == tuple(letter[lo:lo + count].tolist())
+        assert bounds[i + 1] - bounds[i] == count
+        assert _letters(words, i) == tuple(letter[lo:lo + count].tolist())
+
+
+@pytest.mark.parametrize("ramp_fraction", sorted(PINNED_DIGESTS))
+def test_assemble_words_retains_one_buffer_and_one_bound_a_sample(
+        ramp_fraction):
+    """The words of a run are one buffer of its letters and one int64
+    bound a sample: assembly retains at most 1 B an event plus 8 B a
+    sample, beyond a fixed 512 B of object headers, and no object a
+    sample (on full ramps every sample has a word)."""
+    args, kwargs = _pinned_batch_args(ramp_fraction)
+    run = run_batch(*args, **kwargs)
+    _, retained, _ = _traced(assemble_words, run)
+    n_events, n = run.event_sample.size, run.moved.size
+    assert n_events > 5000 and n > 500
+    assert retained <= n_events + 8 * n + 512, (retained, n_events, n)
 
 
 def _mixed_batch(scenario, n, seed):
@@ -1000,7 +1023,7 @@ def _raw_words(run, x0, y0, idx, scenario):
     for i in idx.tolist():
         start = (float(x0[i]), float(y0[i]))
         end = (float(run.x_end[i]), float(run.y_end[i]))
-        path = (_letters(events.get(i, b"")) if run.foreign[i]
+        path = (_letters(events, i) if run.foreign[i]
                 else crossing_word(start, end).letters)
         pairs.add((path, closing_word(end, start, hh)[0].letters))
     return pairs
@@ -1070,7 +1093,7 @@ def test_evaluate_batch_closes_bad_orbits_in_arrays(monkeypatch):
         close = closing_word((float(run.x_end[i]), float(run.y_end[i])),
                              (float(x0[i]), float(y0[i])), hh)[0].letters
         assert scalar or close == ((letter,) if letter else ())
-        distinct.add((events.get(i, ()), close))
+        distinct.add((_letters(events, i), close))
     assert 0 < calls["homogenized_tuple"] <= len(distinct) < bad.size // 10
 
 

@@ -360,6 +360,10 @@ def _one_error_record(err: str) -> dict:
     return record
 
 
+# an integer too large for a float
+HUGE = 10**400
+
+
 # Each document is TINY with the given line in place of the line that sets
 # its key (a key may be set once); {tmp} is the test directory and \udcff is
 # written as the raw byte 0xff, which is not UTF-8.
@@ -418,6 +422,15 @@ BROKEN = {
                                   "invalid_config"),
     "run_time_samples_1e9": ("run", "time_samples = 1000000000", 2,
                              "invalid_config"),
+    # integers too large for a float are refused, not an OverflowError
+    "validate_m_1e400": ("validate", f"m = {HUGE}", 2, "invalid_config"),
+    "validate_K_1e400": ("validate", f"K = {HUGE}", 2, "invalid_config"),
+    "validate_samples_1e400": ("validate", f"samples_per_strip = {HUGE}", 2,
+                               "invalid_config"),
+    "validate_T_scaled_1e400": ("validate", f"T_rule = scaled {HUGE}", 2,
+                                "invalid_config"),
+    "validate_space_samples_1e400": ("validate", f"space_samples = {HUGE}",
+                                     2, "invalid_config"),
 }
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -440,6 +453,23 @@ def test_cli_error_contract(case, tmp_path, capsys):
         return
     assert main(args) == code
     assert _one_error_record(capsys.readouterr().err)["error"] == error
+
+
+@pytest.mark.parametrize("suffix", [".cfg", ".json"])
+@pytest.mark.parametrize("key", ["m", "K", "samples_per_strip"])
+def test_cli_refuses_integers_too_large_for_a_float(key, suffix, tmp_path,
+                                                    capsys):
+    # refused by name with 12 digits, in the text and the JSON form alike
+    values = {"N_list": 1, "T": 0.05, "m": 8, key: HUGE}
+    p = tmp_path / f"huge{suffix}"
+    p.write_text(json.dumps(values) if suffix == ".json" else
+                 "".join(f"{k} = {v}\n" for k, v in values.items()))
+    assert main(["validate", str(p)]) == 2
+    err = capsys.readouterr().err
+    record = _one_error_record(err)
+    assert record["error"] == "invalid_config"
+    assert len(err.strip()) < 200
+    assert f"{key}=1e+400 " in record["detail"]
 
 
 def test_cli_degenerate_crossing_exit_code(tmp_path, capsys, monkeypatch):

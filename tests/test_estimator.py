@@ -1,4 +1,5 @@
 """Trajectory estimator: classification, iterate_word, rho estimates."""
+import concurrent.futures
 import functools
 import math
 import os
@@ -435,7 +436,7 @@ class _SerialPool:
 
 def test_rho_estimate_starts_no_more_workers_than_chunks(monkeypatch):
     monkeypatch.setattr(estimator, "_CHUNK_SAMPLES", 400)  # 2 strips a chunk
-    monkeypatch.setattr(estimator.concurrent.futures, "ProcessPoolExecutor",
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                         _SerialPool)
     monkeypatch.setattr(_SerialPool, "seen", [])
     monkeypatch.setenv("STRIPFLOW_WORKERS", "1000")
@@ -506,6 +507,8 @@ def test_ramp_points_draw_any_range_of_the_stream():
 
 
 def test_sweep_never_imports_numpy_random(tmp_path):
+    """A one-worker sweep loads neither numpy.random, nor the worker pool,
+    nor the property suite."""
     cfg = tmp_path / "tiny.cfg"
     cfg.write_text("N_list = 1\nsamples_per_strip = 50\nspace_samples = 40\n"
                    f"time_samples = 2\noutput = {tmp_path / 'tiny.csv'}\n")
@@ -513,15 +516,17 @@ def test_sweep_never_imports_numpy_random(tmp_path):
              "by_numpy = 'numpy.random' in sys.modules\n"
              "from stripflow.cli import main\n"
              f"assert main(['sweep', {str(cfg)!r}]) == 0\n"
-             "print(by_numpy, 'numpy.random' in sys.modules)\n")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+             "print(by_numpy, *(name in sys.modules for name in ("
+             "'numpy.random', 'concurrent.futures', 'stripflow.properties')))\n")
+    env = dict(os.environ, STRIPFLOW_WORKERS="1", PYTHONPATH=os.pathsep.join(
         filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                           text=True, env=env, timeout=120, check=True)
-    by_numpy, after = done.stdout.split()[-2:]
+    by_numpy, random, pool, props = done.stdout.split()[-4:]
+    assert (pool, props) == ("False", "False")
     if by_numpy == "True":
         pytest.skip("numpy < 2 imports numpy.random with numpy itself")
-    assert after == "False"
+    assert random == "False"
 
 
 def test_ramp_scan_matches_per_point_strip_tests():
@@ -590,6 +595,31 @@ def test_per_class_equals_unique_grouping(seed):
     assert list(fold) == list(grouped)
     assert {k: (a.hex(), c.hex()) for k, (a, c) in fold.items()} == \
         {k: (a.hex(), c.hex()) for k, (a, c) in grouped.items()}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_record_per_class_equals_the_fold(seed):
+    """_record's per-class table, from np.bincount over class codes, is
+    the per-sample fold of _per_class, float for float and in order."""
+    rng = np.random.default_rng(seed)
+    names = np.array([None, "", "a", "B", "BA", "abAB", "ab" * 40],
+                     dtype=object)
+    n = 3000
+    keys = names[rng.integers(0, names.size, n)]
+    # equal keys held by distinct objects, as after several blocks
+    keys[::7] = [None if k is None else "".join(k) for k in keys[::7]]
+    contrib = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 8, n)
+    weights = 1.0 / rng.integers(1, 4, n)
+    kinds = np.ones(n, dtype=np.int64)
+    for area in (1.0, 0.3, 1e-7):
+        table = _record(area, contrib, weights, kinds, keys)[-1]
+        fold = _per_class(zip(keys.tolist(), (weights * area / n).tolist(),
+                              (contrib * area / n).tolist()))
+        assert list(table) == list(fold) and len(fold) == 6
+        assert {k: (a.hex(), c.hex()) for k, (a, c) in table.items()} == \
+            {k: (a.hex(), c.hex()) for k, (a, c) in fold.items()}
+    none = np.full(n, None, dtype=object)
+    assert _record(1.0, contrib, weights, kinds, none)[-1] == {}
 
 
 def test_record_per_class_memory_does_not_grow_with_class_length():
