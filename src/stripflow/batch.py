@@ -1,12 +1,16 @@
 """Vectorized trajectory engine shared by the estimator and the grid oracle.
 
 Positions are kept as plane lifts so crossing words fall out of floor
-differences.  Each step emits all its crossing events at once, keyed by
-(application sequence number + crossing parameter), which sorts the
-letters of a sample's word globally (the event arrays themselves come in
-no particular order).  They are appended once, to one store a field that
-the run's arrays view; their cut-line flags go straight to ``degenerate``.
-Exact piecewise translations: no integration error.
+differences.  Each step emits all its crossing events at once, 5 bytes
+each: the run-local sample (int32) and the letter (int8).  A sample's
+events come out in path order: steps, then acting strips, then each
+move's crossings by parameter.  Only a D move that crosses lines on both
+axes interleaves its x and y crossings, so a step where some sample
+does so is reordered by (application sequence number + crossing
+parameter) before it is appended.  The events are appended once, to one
+store a field that the run's arrays view; their cut-line flags go
+straight to ``degenerate``.  Exact piecewise translations: no
+integration error.
 
 Given each sample's home strip, run_batch first picks out the lone orbits
 (samples that only ever sit on their home ramp), each tested once per
@@ -47,7 +51,6 @@ class BatchRun:
     foreign: np.ndarray
     degenerate: np.ndarray
     event_sample: np.ndarray | None
-    event_key: np.ndarray | None
     event_letter: np.ndarray | None
     applications_per_step: int
 
@@ -102,14 +105,14 @@ def lone_pass(scenario: Scenario, t: float, n_steps: int,
         y_m=y0.copy() if snap >= 0 else None,
         moved=np.zeros(n, dtype=bool), foreign=np.zeros(n, dtype=bool),
         degenerate=np.zeros(n, dtype=bool),
-        event_sample=None, event_key=None, event_letter=None,
+        event_sample=None, event_letter=None,
         applications_per_step=len(scenario.strips))
     rest = np.arange(n, dtype=np.int64)
     if n_steps > 0:
         rest = rest[~_lone_orbits(scenario, t, n_steps, x0, y0, home, snap,
                                   run)]
     if collect:
-        _flag_words(run, x0, y0, (array("q"), array("d"), array("b")))
+        _flag_words(run, x0, y0, (array("i"), array("b")))
     return run, rest
 
 
@@ -124,9 +127,9 @@ def _flag_words(run: BatchRun, x0: np.ndarray, y0: np.ndarray,
     """View the event stores as the run's event arrays, and flag as
     ``degenerate`` the samples with no exact word: a foreign one the engine
     flagged, and every one whose start or end lies on a cut line."""
-    run.event_sample, run.event_key, run.event_letter = (
+    run.event_sample, run.event_letter = (
         np.frombuffer(c, dtype)
-        for c, dtype in zip(events, (np.int64, np.float64, np.int8)))
+        for c, dtype in zip(events, (np.int32, np.int8)))
     run.degenerate &= run.foreign
     for c in (x0, y0, run.x_end, run.y_end):
         run.degenerate |= near_cut_line(c)
@@ -140,11 +143,16 @@ def _run_engine(scenario: Scenario, t: float, n_steps: int,
 
     Writes the end points, snapshot and flags of the samples ``ids`` into
     ``run``; with ``collect``, flags those with a move on a cut line as
-    ``degenerate`` and returns their sample, key and letter stores.
+    ``degenerate`` and returns their sample and letter stores, each
+    sample's events in path order.
     """
-    events = (array("q"), array("d"), array("b"))
+    events = (array("i"), array("b"))
     if not ids.size:  # every sample was a lone orbit
         return events
+    if x0.size > np.iinfo(np.int32).max:
+        raise ValueError(f"a batch holds at most 2^31 - 1 samples, "
+                         f"not {x0.size}")
+    ids = ids.astype(np.int32)
     strips = scenario.strips
     n_strips = len(strips)
     xy = [x0[ids], y0[ids]]
@@ -158,6 +166,7 @@ def _run_engine(scenario: Scenario, t: float, n_steps: int,
 
     for step in range(n_steps):
         moves = []
+        mixed = False  # a D move crossed lines on both axes
         for pos, (si, strip, axes) in enumerate(acting):
             _, on_ramp, d = strip.shear(*xy, t)
             moved_live |= on_ramp
@@ -166,19 +175,27 @@ def _run_engine(scenario: Scenario, t: float, n_steps: int,
             if not on_ramp.any():
                 continue
             seq = float(step * n_strips + pos)
+            changed = None  # the x axis's floor changes, for a D move's y
             for a in axes:
                 new = xy[a] + d
                 if collect:  # the moves that change the floor
                     floor = np.floor(new)
-                    cross = (floors[a] != floor).nonzero()[0]
+                    crossed = floors[a] != floor
+                    if changed is not None and not mixed:
+                        mixed = bool((changed & crossed).any())
+                    changed = crossed
+                    cross = crossed.nonzero()[0]
                     moves.append((ids[cross], xy[a][cross], new[cross],
                                   floors[a][cross], floor[cross], a + 1, seq))
                     floors[a] = floor
                 xy[a] = new
         if moves:
-            *columns, on_cut = _crossings(moves)
-            run.degenerate[columns[0][on_cut]] = True
-            for store, column in zip(events, columns):
+            sample, key, letter, on_cut = _crossings(moves)
+            run.degenerate[sample[on_cut]] = True
+            if mixed:  # merge each such move's x and y crossings
+                order = np.argsort(key, kind="stable")
+                sample, letter = sample[order], letter[order]
+            for store, column in zip(events, (sample, letter)):
                 store.frombytes(memoryview(column).cast("B"))
 
         if step == 0 and compact_fixed and not moved_live.all():
@@ -204,7 +221,8 @@ def _crossings(moves: list[tuple]) -> tuple:
     floor of new, letter code, seq)`` along one axis each: sample, key
     ``seq`` + crossing parameter, signed letter, and whether the move starts
     or ends on a cut line (a parameter within CUT_LINE_TOL of 0 or 1).  A
-    move is repeated once per line it crosses; a non-finite one emits none."""
+    move is repeated once per line it crosses, in the order of ``moves``
+    and then by parameter; a non-finite one emits none."""
     ids, old, new, c0, c1 = (np.concatenate(c)
                              for c in list(zip(*moves))[:5])
     code, seq = np.repeat([m[5:] for m in moves], [m[0].size for m in moves],
@@ -315,14 +333,15 @@ def assemble_words(run: BatchRun) -> tuple[bytes, np.ndarray]:
     n + 1 bounds of its n samples' words: sample i's word is
     ``text[bounds[i]:bounds[i + 1]]``.
 
-    Lone orbits emit no events, so their words are empty.  One sort by
-    (sample, key) puts each sample's letters in path order, sample by
-    sample; the bounds are the running per-sample event counts.
+    Lone orbits emit no events, so their words are empty.  The engine
+    emits each sample's events in path order, so one stable sort by sample
+    groups the letters of each word in path order, sample by sample; the
+    bounds are the running per-sample event counts.
     """
     if run.event_sample is None:
         raise ValueError("batch was run without collect=True")
-    s, k, letters = run.event_sample, run.event_key, run.event_letter
-    text = letters[np.lexsort((k, s))].tobytes()
+    s, letters = run.event_sample, run.event_letter
+    text = letters[np.argsort(s, kind="stable")].tobytes()
     bounds = np.zeros(run.moved.size + 1, dtype=np.int64)
     np.cumsum(np.bincount(s, minlength=run.moved.size), out=bounds[1:])
     return text, bounds

@@ -123,7 +123,7 @@ class ExperimentConfig:
         # OverflowError: a rule value too large for a float (T_rule =
         # scaled 1e400 written as an integer)
         except (ValueError, OverflowError) as exc:
-            raise ConfigError(f"N={N}: {exc}") from exc
+            raise ConfigError(f"N={g12(N)}: {exc}") from exc
         return scenario
 
 

@@ -42,8 +42,8 @@ _CHUNK_SAMPLES = 180_000
 _BLOCK_SAMPLES = 1 << 14
 MAX_LINES_CROSSED = 10**5
 MAX_STEPS = 10**5
-# A chunk holds whole strips.  It peaks at about 115-170 bytes a sample on
-# the default N = 8 chunks (120 000 and 180 000 samples) and 225 on
+# A chunk holds whole strips.  It peaks at about 80-110 bytes a sample on
+# the default N = 8 chunks (120 000 and 180 000 samples) and 180 on
 # full-ramp's N = 4 chunk (36 000, all bad), where its blocks weigh more
 # (tracemalloc): a strip too big at SAMPLE_BYTES each is refused.
 SAMPLE_BYTES = 1024

@@ -3,7 +3,7 @@ import hashlib
 import math
 import tracemalloc
 from collections import Counter
-from dataclasses import fields, replace
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -205,25 +205,21 @@ def _same_bits(a, b):
 
 
 def _events(run, keep=None):
-    """Crossing events in one canonical order, optionally only those of the
-    samples in the mask ``keep``; the two paths emit them in different
-    orders, which assemble_words does not depend on."""
-    s, k, letters = run.event_sample, run.event_key, run.event_letter
+    """Crossing events in one canonical order, sample by sample and each
+    sample's in path order (the order the engine emits them in),
+    optionally only those of the samples in the mask ``keep``; the two
+    paths interleave samples differently, which assemble_words does not
+    depend on."""
+    s, letters = run.event_sample.astype(np.int64), run.event_letter
     if keep is not None:
         sel = keep[s]
-        s, k, letters = s[sel], k[sel], letters[sel]
-    order = np.lexsort((letters, k, s))
-    return s[order], k[order], letters[order]
+        s, letters = s[sel], letters[sel]
+    order = np.argsort(s, kind="stable")
+    return s[order], letters[order]
 
 
-def _event_words(run, n, max_key=None):
-    """Reduced per-sample words from the crossing events, optionally only
-    the events keyed below ``max_key`` (the first steps)."""
-    sample, key, letter = run.event_sample, run.event_key, run.event_letter
-    if max_key is not None:
-        sel = key < max_key
-        run = replace(run, event_sample=sample[sel], event_key=key[sel],
-                      event_letter=letter[sel])
+def _event_words(run, n):
+    """Reduced per-sample words from the crossing events."""
     words = assemble_words(run)
     return [reduce_letters(_letters(words, i)) for i in range(n)]
 
@@ -233,17 +229,18 @@ def _min_rotation(core):
     return min((core[i:] + core[:i] for i in range(len(core))), default=())
 
 
-def _assert_estimator_words_exact(scenario, fast, full, x0, y0, m):
+def _assert_estimator_words_exact(scenario, fast, full, x0, y0, home, m):
     """Every moved non-foreign sample: the word the estimator reads off its
     floor differences equals the full engine's reduced event word, and a
     periodic one's class, built from its winding alone, is the minimal
-    rotation of the full engine's m-step core."""
+    rotation of the full engine's m-step core (the first m steps of a
+    K-step run are an m-step run)."""
     n = x0.size
     kinds = estimator._kinds(fast, x0, y0)
     assert (kinds == estimator._kinds(full, x0, y0)).all()
     k_words = _event_words(full, n)
-    m_words = _event_words(full, n,
-                           max_key=float(m * full.applications_per_step))
+    m_words = _event_words(_full_engine(scenario, scenario.tau, m, x0, y0,
+                                        home=home, collect=True), n)
     moved = np.nonzero(fast.moved & ~fast.foreign & ~fast.degenerate)[0]
     windings = estimator._windings(fast, x0, y0, moved).tolist()
     for i, w in zip(moved.tolist(), windings):
@@ -276,7 +273,8 @@ def _assert_fast_path_exact(scenario, n_steps, x0, y0, home, m_snapshot=None,
     for a, b in zip(_events(fast), _events(full, keep=~lone)):
         assert _same_bits(a, b)
     if m_snapshot is not None and 1 <= m_snapshot <= n_steps:
-        _assert_estimator_words_exact(scenario, fast, full, x0, y0, m_snapshot)
+        _assert_estimator_words_exact(scenario, fast, full, x0, y0, home,
+                                      m_snapshot)
 
 
 def _lone_count(scenario, n_steps, x0, y0, home):
@@ -338,7 +336,7 @@ def _word_batch(ramp_fraction):
 @pytest.mark.parametrize("ramp_fraction", [0.125, 1.0])
 def test_assemble_words_keeps_no_copy_of_the_events(ramp_fraction):
     """Assembly copies no event array: its transient memory stays under
-    24 B an event, beside the 17 B an event takes."""
+    24 B an event, beside the 5 B an event takes."""
     run = _word_batch(ramp_fraction)
     (text, bounds), _, transient = _traced(assemble_words, run)
     n_events = run.event_sample.size
@@ -369,7 +367,7 @@ def _digest(value):
 
 # Every BatchRun field, with the events in one canonical order, of two
 # fixed N = 2 batches (K = 4m, snapshot at m): any change to the engine's
-# float ops, event keys or flags changes a digest.
+# float ops, event order or flags changes a digest.
 PINNED_DIGESTS = {
     0.125: {
         "x_end":
@@ -388,8 +386,6 @@ PINNED_DIGESTS = {
             "35dae8a7cb479f55e276639188d56216fe63fc90848997ae3811acafc6a19e89",
         "event_sample":
             "0cb04fc4b435aedbe40b78130566ecf5fa4bdf17f1b7f26a6d5a8866c51d31b6",
-        "event_key":
-            "831db9d21a53a912682125482a2a73b41ad3528774e208b973aac21527bbbea2",
         "event_letter":
             "c85e800065507b43669ab3564f6fc2b960d6c19a0117c790f7b737b84bc0dd1a",
         "applications_per_step":
@@ -412,8 +408,6 @@ PINNED_DIGESTS = {
             "35dae8a7cb479f55e276639188d56216fe63fc90848997ae3811acafc6a19e89",
         "event_sample":
             "a10208d223862a7be89b33243ee45cf834f83eacc4a29a579590fcc0fed65239",
-        "event_key":
-            "d122e14fd9f646d4cb9ad390d19396af72dfb1371ca91292ce88b949b03ac92c",
         "event_letter":
             "a1487c576ce8ae5528a8ad269b052ad9c14325d4a350128dede7054984d6b4f3",
         "applications_per_step":
@@ -436,8 +430,7 @@ def test_run_batch_bits_are_pinned(ramp_fraction):
     args, kwargs = _pinned_batch_args(ramp_fraction)
     run = run_batch(*args, **kwargs)
     values = {f.name: getattr(run, f.name) for f in fields(BatchRun)}
-    values.update(zip(("event_sample", "event_key", "event_letter"),
-                      _events(run)))
+    values.update(zip(("event_sample", "event_letter"), _events(run)))
     digests = {name: _digest(v) for name, v in values.items()}
     assert digests == PINNED_DIGESTS[ramp_fraction]
 
@@ -445,7 +438,7 @@ def test_run_batch_bits_are_pinned(ramp_fraction):
 def test_run_batch_holds_each_event_once():
     """The engine appends each step's events to one store a field, which
     the run's event arrays then view: beyond what it returns, run_batch
-    peaks under 10 B an event (the events take 17 B)."""
+    peaks under 10 B an event (the events take 5 B)."""
     args, kwargs = _pinned_batch_args(0.125)
     run, _, transient = _traced(run_batch, *args, **kwargs)
     n_events = run.event_sample.size
@@ -453,16 +446,42 @@ def test_run_batch_holds_each_event_once():
     assert transient / n_events <= 10, transient / n_events
 
 
+def test_run_batch_holds_five_bytes_an_event():
+    """An event is its run-local sample (int32) and its letter (int8):
+    nothing else is stored per event."""
+    args, kwargs = _pinned_batch_args(1.0)
+    run = run_batch(*args, **kwargs)
+    n_events = run.event_sample.size
+    assert n_events > 5000
+    assert run.event_sample.nbytes + run.event_letter.nbytes == 5 * n_events
+    assert "event_key" not in {f.name for f in fields(BatchRun)}
+
+
+def test_d_move_crossing_both_axes_keeps_path_order():
+    """One D move that crosses y = 1 before x = 1: its letters come out
+    in path order (B then A), as the scalar maps read them, although the
+    engine works out the x axis first."""
+    scenario = build_scenario(4, 0.04, 64, 0.02)
+    x0, y0 = np.array([1.1241416355726992]), np.array([1.0007589252233486])
+    assert scenario.strips[2].direction == "D"
+    run = _full_engine(scenario, scenario.tau, 1, x0, y0, home=np.array([2]),
+                       collect=True)
+    _, segments = apply_composed(scenario, scenario.tau, (x0[0], y0[0]))
+    scalar = [c for a, b in segments for _, c in segment_crossings(a, b)]
+    assert scalar[:2] == [-2, -1]
+    assert _letters(assemble_words(run), 0) == tuple(scalar)
+
+
 def test_assemble_words_holds_a_byte_a_letter():
     """Each word is a slice of one bytes of int8 letter codes, one per
-    event of its sample, in key order; the words retain at most 4 B an
+    event of its sample, in path order; the words retain at most 4 B an
     event."""
     args, kwargs = _pinned_batch_args(0.125)
     run = run_batch(*args, **kwargs)
     words, retained, _ = _traced(assemble_words, run)
     n_events = run.event_sample.size
     assert retained / n_events <= 4, retained / n_events
-    sample, _, letter = _events(run)
+    sample, letter = _events(run)
     samples, starts, counts = np.unique(sample, return_index=True,
                                         return_counts=True)
     text, bounds = words
@@ -518,8 +537,6 @@ PINNED_COMPACTED_DIGESTS = {
             "e3ecd9393b61a2de0454919fe86c105caff3f00694ad6148ee084f3a4791ee42",
         "event_sample":
             "dc937b59892604f5a86ac96936cd7ff09e25f18ae6b758e8014a24c7fa039e91",
-        "event_key":
-            "dc937b59892604f5a86ac96936cd7ff09e25f18ae6b758e8014a24c7fa039e91",
         "event_letter":
             "dc937b59892604f5a86ac96936cd7ff09e25f18ae6b758e8014a24c7fa039e91",
         "applications_per_step":
@@ -542,8 +559,6 @@ PINNED_COMPACTED_DIGESTS = {
             "e3ecd9393b61a2de0454919fe86c105caff3f00694ad6148ee084f3a4791ee42",
         "event_sample":
             "adc2758daff900a8d9a51c12b2228fd3f4bfcd297f2b3eaafeab2d011728302b",
-        "event_key":
-            "a2b12dd262891699bf17bc389b3aeb60345f9a75c726e84a9b47f22be56f0f9c",
         "event_letter":
             "651346ea0a998fc9dc1744d8d3b7b7804bee7e699e1671c0c5972e24673c5bae",
         "applications_per_step":
@@ -565,8 +580,6 @@ PINNED_COMPACTED_DIGESTS = {
         "degenerate":
             "e3ecd9393b61a2de0454919fe86c105caff3f00694ad6148ee084f3a4791ee42",
         "event_sample":
-            "dc937b59892604f5a86ac96936cd7ff09e25f18ae6b758e8014a24c7fa039e91",
-        "event_key":
             "dc937b59892604f5a86ac96936cd7ff09e25f18ae6b758e8014a24c7fa039e91",
         "event_letter":
             "dc937b59892604f5a86ac96936cd7ff09e25f18ae6b758e8014a24c7fa039e91",
@@ -590,8 +603,6 @@ PINNED_COMPACTED_DIGESTS = {
             "e3ecd9393b61a2de0454919fe86c105caff3f00694ad6148ee084f3a4791ee42",
         "event_sample":
             "b19d7449fe60073798a458a98724082f93cd3d0626f6526f53fa6f18f81e2c9d",
-        "event_key":
-            "169c11908441125ffc50f10f743d4087b8124f15ee1fd4ebfcdc1a8a2455b729",
         "event_letter":
             "42a185cbb6906a3fcecf3d8e96e832262af335481f8dc49b42eddb1fe0d695ab",
         "applications_per_step":
@@ -612,8 +623,7 @@ def test_run_batch_bits_after_compaction_are_pinned(ramp_fraction, collect):
     assert (home == -1).sum() > 150 and not run.moved[home == -1].any()
     values = {f.name: getattr(run, f.name) for f in fields(BatchRun)}
     if collect:
-        values.update(zip(("event_sample", "event_key", "event_letter"),
-                          _events(run)))
+        values.update(zip(("event_sample", "event_letter"), _events(run)))
     digests = {name: _digest(v) for name, v in values.items()}
     assert digests == PINNED_COMPACTED_DIGESTS[ramp_fraction, collect]
 
@@ -952,8 +962,8 @@ def _event_oracle(scenario, q, K, x, y, home):
     kinds[periodic] = 1
     values = np.zeros(n)
     keys = np.full(n, None, dtype=object)
-    m_words = _event_words(run, n,
-                           max_key=float(m * run.applications_per_step))
+    m_words = _event_words(_full_engine(scenario, scenario.tau, m, x, y,
+                                        home=home, collect=True), n)
     k_words = _event_words(run, n)
     # flagged samples are re-run, so the estimator skips them
     for i in np.nonzero(periodic & ~run.degenerate)[0].tolist():

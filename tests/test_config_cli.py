@@ -472,6 +472,22 @@ def test_cli_refuses_integers_too_large_for_a_float(key, suffix, tmp_path,
     assert f"{key}=1e+400 " in record["detail"]
 
 
+@pytest.mark.parametrize("suffix", [".cfg", ".json"])
+@pytest.mark.parametrize("rule", [{"m": 8}, {"m_rule": "scaled 8"}])
+def test_cli_refuses_an_n_too_large_for_a_float(suffix, rule, tmp_path,
+                                                capsys):
+    # the error is prefixed with N to 12 digits, not all 401 of them
+    values = {"N_list": HUGE, "T": 0.05, **rule}
+    p = tmp_path / f"huge_n{suffix}"
+    p.write_text(json.dumps(values) if suffix == ".json" else
+                 "".join(f"{k} = {v}\n" for k, v in values.items()))
+    assert main(["validate", str(p)]) == 2
+    record = _one_error_record(capsys.readouterr().err)
+    assert record["error"] == "invalid_config"
+    assert record["detail"].startswith("N=1e+400: ")
+    assert len(record["detail"]) < 200, record["detail"]
+
+
 def test_cli_degenerate_crossing_exit_code(tmp_path, capsys, monkeypatch):
     def stuck(*args, **kwargs):
         raise DegenerateCrossing("sample stays on a cut line")
